@@ -15,6 +15,7 @@ bases, and the Jacobi-ring Poincare data computed degreewise by exact rank.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from mfcat import kernel
@@ -39,7 +40,8 @@ class GaussRat:
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussRat):
-            assert im == 0
+            if im != 0:
+                raise PolyError("GaussRat(GaussRat, im) takes no imaginary part")
             self.re, self.im = re.re, re.im
             return
         self.re = _frac(re)
@@ -595,10 +597,18 @@ def monomial_basis(W, d):
     when d is negative or not attainable on the (2/h)Z lattice.
     """
     w2 = _frac(d) * W.h
-    if w2.denominator != 1 or w2 < 0 or w2.numerator % 2:
+    if w2.denominator != 1 or w2.numerator % 2:
         return []
-    w = w2.numerator // 2
-    a, b, c = W.a, W.b, W.c
+    return list(weighted_monomials(W.a, W.b, W.c, w2.numerator // 2))
+
+
+@lru_cache(maxsize=4096)
+def weighted_monomials(a, b, c, w):
+    """Exponent triples (i, j, k) with a*i + b*j + c*k == w, ascending lex.
+
+    The integer-degree core of :func:`monomial_basis`, memoized on the plain
+    ints (a, b, c, w); the result is a shared tuple, empty when w < 0.
+    """
     out = []
     for i in range(w // a + 1):
         ra = w - i * a
@@ -606,8 +616,7 @@ def monomial_basis(W, d):
             rb = ra - j * b
             if rb % c == 0:
                 out.append((i, j, rb // c))
-    out.sort()
-    return out
+    return tuple(out)
 
 
 def _monomial_index(monomials):

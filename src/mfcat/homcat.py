@@ -11,11 +11,11 @@ Auslander-Reiten triangles all reduce to exact rank computations.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from . import kernel
-from .gring import GaussRat, Poly, PolyError, monomial_basis
+from .gring import GaussRat, Poly, PolyError, weighted_monomials
 from .mf import (
     GradedMF,
     Morphism,
@@ -37,31 +37,13 @@ from .mf import (
 _VARS = ("x", "y", "z")
 
 
-def _madd(m, me):
-    return (m[0] + me[0], m[1] + me[1], m[2] + me[2])
-
-
-def _nonzero_terms(mat):
-    """mat -> {row: [(col, [(mon, coeff), ...])]} grouped by row and by col."""
-    by_row = {}
-    by_col = {}
-    for i, row in enumerate(mat):
-        for j, p in enumerate(row):
-            if p.is_zero():
-                continue
-            items = sorted(p.terms.items())
-            by_row.setdefault(i, []).append((j, items))
-            by_col.setdefault(j, []).append((i, items))
-    return by_row, by_col
-
-
 def _clear_row(items):
     """[(col, GaussRat)] -> kernel row with integer Gaussian entries."""
     lcm = 1
     for _, c in items:
         for d in (c.re.denominator, c.im.denominator):
             if d != 1:
-                g = _gcd(lcm, d)
+                g = math.gcd(lcm, d)
                 lcm = lcm // g * d
     out = []
     for col, c in items:
@@ -72,10 +54,24 @@ def _clear_row(items):
     return kernel.row_from_items(out)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _term_table(mat, scale, by_col):
+    """mat -> {line: [(other, [(mon, re, im), ...])]}, grouped by row or col.
+
+    Every coefficient is multiplied by ``scale`` (a multiple of all of its
+    denominators) and stored as its integer real and imaginary parts; the
+    monomials of each entry are in ascending lex order.
+    """
+    table = {}
+    for i, row in enumerate(mat):
+        for j, p in enumerate(row):
+            if not p.terms:
+                continue
+            terms = [(mon, c.re.numerator * (scale // c.re.denominator),
+                      c.im.numerator * (scale // c.im.denominator))
+                     for mon, c in sorted(p.terms.items())]
+            line, other = (j, i) if by_col else (i, j)
+            table.setdefault(line, []).append((other, terms))
+    return table
 
 
 class _System:
@@ -84,6 +80,16 @@ class _System:
     Variables enumerate the admissible monomials of every entry of the block
     pair (phi0, phi1); the cocycle equations and the boundary generators are
     assembled monomial by monomial and handed to the kernel as sparse rows.
+
+    Assembly runs on Python ints only.  The coefficients of the four blocks
+    (dst.phi, dst.psi, src.phi, src.psi) are multiplied by one common
+    denominator L, 1 whenever every block is over the Gaussian integers, so
+    each row is a positive integer multiple of the row cleared on its own
+    (and equal to it when L = 1); the kernel normalizes row content, so the
+    two span the same space.  Slot degrees are kept as exact integers on the
+    h*D scale, where D, the common denominator of all h*S, is 1 unless the
+    slots sit off the (1/h)Z lattice; a pair of slots whose difference is not
+    an even integer on the h scale admits no monomials.
     """
 
     def __init__(self, src, dst):
@@ -92,17 +98,33 @@ class _System:
         self.src = src
         self.dst = dst
         W = src.W
-        ss, sbs = src.s_row, src.sbar_row
-        sd, sbd = dst.s_row, dst.sbar_row
+        a, b, c, h = W.a, W.b, W.c, W.h
         rs, rd = src.r, dst.r
+
+        D = 1
+        for s in src.S + dst.S:
+            D = math.lcm(D, s.denominator // math.gcd(s.denominator, h))
+        ss, sbs, sd, sbd = (
+            [s.numerator * h * D // s.denominator for s in half]
+            for half in (src.s_row, src.sbar_row, dst.s_row, dst.sbar_row))
+        step = 2 * D  # one unit of integer weighted degree on the h*D scale
+        one = h * D  # normalized degree 1
+
+        def basis(t):
+            if t < 0 or t % step:
+                return ()
+            return weighted_monomials(a, b, c, t // step)
 
         self.var_keys = []
         self.var_index = {}
+        entry = {}  # (blk, i, j) -> {mon: variable index}
         for blk, drow, dcol in ((0, sd, ss), (1, sbd, sbs)):
             for i in range(rd):
                 for j in range(rs):
-                    for mon in monomial_basis(W, drow[i] - dcol[j]):
-                        self.var_index[(blk, i, j, mon)] = len(self.var_keys)
+                    mons = entry[blk, i, j] = {}
+                    for mon in basis(drow[i] - dcol[j]):
+                        vidx = mons[mon] = len(self.var_keys)
+                        self.var_index[(blk, i, j, mon)] = vidx
                         self.var_keys.append((blk, i, j, mon))
         self.nvars = len(self.var_keys)
         if not self.nvars:
@@ -110,75 +132,71 @@ class _System:
             self.boundary_rows = []
             return
 
-        dphi_row, dphi_col = _nonzero_terms(dst.phi)
-        dpsi_row, dpsi_col = _nonzero_terms(dst.psi)
-        sphi_row, _ = _nonzero_terms(src.phi)
-        spsi_row, _ = _nonzero_terms(src.psi)
+        L = 1
+        for g in (src, dst):
+            for mat in (g.phi, g.psi):
+                for row in mat:
+                    for p in row:
+                        for co in p.terms.values():
+                            L = math.lcm(L, co.re.denominator, co.im.denominator)
+        dphi = _term_table(dst.phi, L, True)
+        dpsi = _term_table(dst.psi, L, True)
+        sphi = _term_table(src.phi, L, False)
+        spsi = _term_table(src.psi, L, False)
 
         # Cocycle equations: dst.phi*phi1 = phi0*src.phi (block 0) and
         # dst.psi*phi0 = phi1*src.psi (block 1), one equation per matrix
-        # entry per monomial.
-        eqs = {}
+        # entry per monomial.  A variable meets each equation through at most
+        # one term and variables are visited in index order, so every row
+        # comes out with strictly increasing columns and no zero entry.
+        eqs = defaultdict(list)
+        for vidx, (blk, i, j, (m0, m1, m2)) in enumerate(self.var_keys):
+            left, right = (dphi, spsi) if blk else (dpsi, sphi)
+            for k, terms in left.get(i, ()):
+                for (e0, e1, e2), re, im in terms:
+                    mon = (m0 + e0, m1 + e1, m2 + e2)
+                    eqs[1 - blk, k, j, mon].append((vidx, re, im))
+            for k, terms in right.get(j, ()):
+                for (e0, e1, e2), re, im in terms:
+                    mon = (m0 + e0, m1 + e1, m2 + e2)
+                    eqs[blk, i, k, mon].append((vidx, -re, -im))
 
-        def acc(key, vidx, coeff):
-            row = eqs.get(key)
-            if row is None:
-                row = eqs[key] = {}
-            cur = row.get(vidx)
-            row[vidx] = coeff if cur is None else cur + coeff
-
-        for vidx, (blk, i, j, mon) in enumerate(self.var_keys):
-            if blk == 1:
-                for a, items in dphi_col.get(i, ()):
-                    for me, ce in items:
-                        acc((0, a, j, _madd(mon, me)), vidx, ce)
-                for b, items in spsi_row.get(j, ()):
-                    for me, ce in items:
-                        acc((1, i, b, _madd(mon, me)), vidx, -ce)
-            else:
-                for b, items in sphi_row.get(j, ()):
-                    for me, ce in items:
-                        acc((0, i, b, _madd(mon, me)), vidx, -ce)
-                for a, items in dpsi_col.get(i, ()):
-                    for me, ce in items:
-                        acc((1, a, j, _madd(mon, me)), vidx, ce)
-
-        self.cocycle_rows = [
-            _clear_row(sorted(eqs[key].items())) for key in sorted(eqs)
-        ]
+        self.cocycle_rows = [tuple(map(list, zip(*eqs[key])))
+                             for key in sorted(eqs)]
 
         # Boundary generators: the image in the variable space of every
         # admissible homotopy monomial hA (dst-first x src-second) and hB
         # (dst-second x src-first), under H -> (phi'*hB + hA*psi,
-        # psi'*hA + hB*phi).
-        self.boundary_rows = []
-        one = Fraction(1)
+        # psi'*hA + hB*phi).  Block 0 variables precede block 1 ones and
+        # var_keys is in lex order, so emitting the block 0 part first gives
+        # strictly increasing columns.
+        self.boundary_rows = rows = []
+
+        def extend(row, mons, terms, m0, m1, m2):
+            cols, res, ims = row
+            for (e0, e1, e2), re, im in terms:
+                cols.append(mons[m0 + e0, m1 + e1, m2 + e2])
+                res.append(re)
+                ims.append(im)
+
         for i in range(rd):
             for j in range(rs):
-                for mon in monomial_basis(W, sd[i] - sbs[j] - one):
-                    vec = {}
-                    for b, items in spsi_row.get(j, ()):
-                        for me, ce in items:
-                            v = self.var_index[(0, i, b, _madd(mon, me))]
-                            vec[v] = vec.get(v, GaussRat(0)) + ce
-                    for a, items in dpsi_col.get(i, ()):
-                        for me, ce in items:
-                            v = self.var_index[(1, a, j, _madd(mon, me))]
-                            vec[v] = vec.get(v, GaussRat(0)) + ce
-                    self.boundary_rows.append(_clear_row(sorted(vec.items())))
+                for m0, m1, m2 in basis(sd[i] - sbs[j] - one):
+                    row = ([], [], [])
+                    for k, terms in spsi.get(j, ()):
+                        extend(row, entry[0, i, k], terms, m0, m1, m2)
+                    for k, terms in dpsi.get(i, ()):
+                        extend(row, entry[1, k, j], terms, m0, m1, m2)
+                    rows.append(row)
         for i in range(rd):
             for j in range(rs):
-                for mon in monomial_basis(W, sbd[i] - ss[j] - one):
-                    vec = {}
-                    for a, items in dphi_col.get(i, ()):
-                        for me, ce in items:
-                            v = self.var_index[(0, a, j, _madd(mon, me))]
-                            vec[v] = vec.get(v, GaussRat(0)) + ce
-                    for b, items in sphi_row.get(j, ()):
-                        for me, ce in items:
-                            v = self.var_index[(1, i, b, _madd(mon, me))]
-                            vec[v] = vec.get(v, GaussRat(0)) + ce
-                    self.boundary_rows.append(_clear_row(sorted(vec.items())))
+                for m0, m1, m2 in basis(sbd[i] - ss[j] - one):
+                    row = ([], [], [])
+                    for k, terms in dphi.get(i, ()):
+                        extend(row, entry[0, k, j], terms, m0, m1, m2)
+                    for k, terms in sphi.get(j, ()):
+                        extend(row, entry[1, i, k], terms, m0, m1, m2)
+                    rows.append(row)
 
     def morphism_from_row(self, row):
         """Integer kernel row in variable space -> Morphism."""
@@ -209,7 +227,7 @@ class _System:
         for _, c in items:
             for d in (c.re.denominator, c.im.denominator):
                 if d != 1:
-                    g = _gcd(lcm, d)
+                    g = math.gcd(lcm, d)
                     lcm = lcm // g * d
         row = kernel.row_from_items(
             [(v, int(c.re * lcm), int(c.im * lcm)) for v, c in items]
@@ -223,7 +241,7 @@ def _vec_to_row(vec):
     for re, im in vec.values():
         for d in (re.denominator, im.denominator):
             if d != 1:
-                g = _gcd(lcm, d)
+                g = math.gcd(lcm, d)
                 lcm = lcm // g * d
     items = [(c, int(re * lcm), int(im * lcm)) for c, (re, im) in sorted(vec.items())]
     return kernel.row_from_items(items)
@@ -463,7 +481,7 @@ def _rank_factor(E):
         for _, c in rhs_items:
             for dnm in (c.re.denominator, c.im.denominator):
                 if dnm != 1:
-                    gg = _gcd(lcm, dnm)
+                    gg = math.gcd(lcm, dnm)
                     lcm = lcm // gg * dnm
         rhs = kernel.row_from_items(
             [(i, int(c.re * lcm), int(c.im * lcm)) for i, c in rhs_items])

@@ -56,8 +56,9 @@ def mat_zero(nrows, ncols):
 
 
 def mat_mul(A, B):
-    if A and B:
-        assert len(A[0]) == len(B)
+    if A and B and len(A[0]) != len(B):
+        raise PolyError("mat_mul of %dx%d by %dx%d matrices"
+                        % (len(A), len(A[0]), len(B), len(B[0])))
     out = []
     for row in A:
         out_row = []

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from mfcat.catalog import get_catalog
-from mfcat.gring import GaussRat, PolyError
+from mfcat.gring import GaussRat, Poly, PolyError
 from mfcat.homcat import (
     ar_triangle_check,
     check_jacobi_annihilation,
@@ -27,9 +28,11 @@ from mfcat.homcat import (
     t_image,
 )
 from mfcat.mf import (
+    GradedMF,
     Morphism,
     direct_sum,
     identity_morphism,
+    mat_mul,
     permute_slots,
     tau,
     verify_morphism,
@@ -43,6 +46,67 @@ def test_hom_dim_is_a_class_function_of_the_phase_gap():
         base = hom_dim(cat.object(k, 0), cat.object(kp, n))
         for shift in (1, 2, 5):
             assert hom_dim(cat.object(k, shift), cat.object(kp, n + shift)) == base
+
+
+def _shifted(g, t):
+    """g with every slot degree moved by the constant t."""
+    return GradedMF(g.f, g.W, g.phi, g.psi, [s + t for s in g.S])
+
+
+def test_hom_is_unchanged_by_a_common_off_lattice_shift():
+    # 1/7 and 5/7 are off the (1/h)Z lattice of E6 (h = 12), so every slot
+    # degree of the shifted objects has a non-integral h-scaled value
+    cat = get_catalog("E6")
+    nonzero = 0
+    for k in (1, 2, 4):
+        for kp in (1, 3):
+            for n in range(-1, cat.h // 2 + 1):
+                X, Y = cat.object(k, 0), cat.object(kp, n)
+                d = hom_dim(X, Y)
+                nonzero += d > 0
+                for t in (Fraction(1, 7), Fraction(5, 7)):
+                    Xt, Yt = _shifted(X, t), _shifted(Y, t)
+                    assert hom_dim(Xt, Yt) == d
+                    assert hom_space(Xt, Yt).dim == d
+                    assert hom_dim(Xt, Y) == 0
+    assert nonzero >= 6
+
+
+def _diag(entries):
+    n = len(entries)
+    return tuple(tuple(Poly.const(entries[i]) if i == j else Poly()
+                       for j in range(n)) for i in range(n))
+
+
+def test_hom_over_non_integral_coefficients_matches_the_catalog_object():
+    # phi' = P phi Q^-1 and psi' = Q psi P^-1 for constant diagonal P, Q:
+    # an isomorphic object whose blocks carry Fraction and imaginary parts
+    cat = get_catalog("D5")
+    X = cat.object(3, 0)
+    units = [GaussRat(Fraction(1, 2)), GaussRat(3), GaussRat(0, 1),
+             GaussRat(2, 1)]
+    p = [units[i % 4] for i in range(X.r)]
+    q = [units[(i + 1) % 4] for i in range(X.r)]
+    P, Pinv = _diag(p), _diag([c.inv() for c in p])
+    Q, Qinv = _diag(q), _diag([c.inv() for c in q])
+    Xb = GradedMF(X.f, X.W, mat_mul(P, mat_mul(X.phi, Qinv)),
+                  mat_mul(Q, mat_mul(X.psi, Pinv)), X.S)
+    assert any(c.re.denominator > 1 for row in Xb.phi for e in row
+               for c in e.terms.values())
+    assert any(c.im for row in Xb.psi for e in row for c in e.terms.values())
+    for kp in cat.diagram.vertices:
+        for n in range(-1, cat.h // 2 + 1):
+            Y = cat.object(kp, n)
+            for src, dst, src_b, dst_b in ((X, Y, Xb, Y), (Y, X, Y, Xb)):
+                d = hom_dim(src, dst)
+                assert hom_dim(src_b, dst_b) == d
+                H = hom_space(src_b, dst_b)
+                assert H.dim == d == len(H.basis)
+                for m in H.basis:
+                    assert verify_morphism(m) == []
+    E = hom_space(Xb, Xb)
+    assert E.dim == hom_space(X, X).dim
+    assert E.coordinates(identity_morphism(Xb))[0]
 
 
 def test_wrong_parity_classes_are_empty():

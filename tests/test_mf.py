@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mfcat
 from mfcat.catalog import get_catalog
 from mfcat.gring import Poly, PolyError
 from mfcat.homcat import hom_space
@@ -156,3 +160,28 @@ def test_json_rejects_malformed_payloads():
     del broken["phi"]
     with pytest.raises(PolyError):
         mf_from_json(broken)
+
+
+_OPTIMIZED_PROBE = """
+from mfcat.gring import GaussRat, Poly, PolyError
+from mfcat.mf import mat_mul
+for name, call in (
+        ("mat_mul", lambda: mat_mul(((Poly.const(1),),),
+                                    ((Poly.const(2),), (Poly.const(3),)))),
+        ("GaussRat", lambda: GaussRat(GaussRat(1), 5))):
+    try:
+        call()
+    except PolyError:
+        print(name, "rejected")
+    else:
+        print(name, "accepted")
+"""
+
+
+def test_shape_checks_survive_python_O():
+    # the checks must be raises, not asserts, which -O strips
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mfcat.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["mat_mul rejected", "GaussRat rejected"]
