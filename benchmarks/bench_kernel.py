@@ -5,7 +5,8 @@ The backend is chosen when :mod:`mfcat.kernel` is imported, so each
 measurement runs in a fresh subprocess: once with the compiled extension
 (the default) and once with ``MFCAT_PURE_PYTHON=1``.  Both backends run
 identical workloads and must produce identical answers; the script prints
-one row per workload with the two timings and the speedup.
+one row per workload with the two timings and the speedup, or n/a
+when the compiled extension is missing and both runs used one backend.
 
 Usage:  python3 benchmarks/bench_kernel.py [--repeats N] [--quick]
 """
@@ -170,7 +171,10 @@ def main(argv=None):
     for name in WORKLOADS:
         tc = compiled["results"][name]
         tp = pure["results"][name]
-        print("%-12s %12.4f %12.4f %8.2fx" % (name, tc, tp, tp / tc))
+        # a ratio between two runs of one backend is run-to-run noise
+        ratio = ("%8.2fx" % (tp / tc)
+                 if compiled["backend"] != pure["backend"] else "%9s" % "n/a")
+        print("%-12s %12.4f %12.4f %s" % (name, tc, tp, ratio))
 
 
 if __name__ == "__main__":

@@ -591,11 +591,3 @@ def get_catalog(type_str, b=None):
     if letter != "A":
         b = None
     return _catalog_cached("%s%d" % (letter, l), b)
-
-
-def build_object(type_str, b, k, n):
-    return get_catalog(type_str, b).object(k, n)
-
-
-def enumerate_window(type_str, b, lo, hi):
-    return get_catalog(type_str, b).objects_in_window(lo, hi)

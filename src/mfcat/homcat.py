@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from . import kernel
-from .gring import GaussRat, Poly, PolyError, weighted_monomials
+from .gring import ZERO, GaussRat, Poly, PolyError, weighted_monomials
 from .mf import (
     GradedMF,
     Morphism,
@@ -455,9 +455,21 @@ def _scalar_to_poly(mat):
 
 
 def _scalar_mul(A, B):
-    n, m, k = len(A), len(B[0]) if B else 0, len(B)
-    return [[sum((A[i][t] * B[t][j] for t in range(k)), GaussRat(0))
-             for j in range(m)] for i in range(n)]
+    """Exact product of two GaussRat matrices, visiting nonzero entries only."""
+    if A and len(A[0]) != len(B):
+        raise PolyError("_scalar_mul of %dx%d by %dx%d matrices"
+                        % (len(A), len(A[0]), len(B), len(B[0]) if B else 0))
+    m = len(B[0]) if B else 0
+    brows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for row in A:
+        acc = [ZERO] * m
+        for t, a in enumerate(row):
+            if a:
+                for j, b in brows[t]:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
 
 def _rank_factor(E):
@@ -528,15 +540,18 @@ def _strict_split(g, ehat):
         Wm, V, cols = _rank_factor(E0)
         Wp = _scalar_to_poly(Wm)
         Vp = _scalar_to_poly(V)
-        eta = tuple(tuple(emat[i][j] - Poly.const(E0[i][j])
-                          for j in range(r)) for i in range(r))
         # U = 1 + eta(2*E0 - 1) conjugates E0 into emat: emat*U = U*E0,
         # so U*W frames the image of emat and V*U^{-1} retracts onto it.
-        refl = tuple(tuple(Poly.const(2 * E0[i][j] - (1 if i == j else 0))
-                           for j in range(r)) for i in range(r))
+        eta = [list(row) for row in emat]
+        refl = [[Poly()] * r for _ in range(r)]
+        for i in range(r):
+            refl[i][i] = Poly.const(-1)
+            for j, c in enumerate(E0[i]):
+                if c:
+                    eta[i][j] = emat[i][j] - Poly.const(c)
+                    refl[i][j] = Poly.const(2 * c - (1 if i == j else 0))
         D = mat_mul(eta, refl)
-        U = tuple(tuple(D[i][j] + (Poly.const(GaussRat(1)) if i == j else
-                                   Poly.const(GaussRat(0)))
+        U = tuple(tuple(D[i][j] + Poly.const(1) if i == j else D[i][j]
                         for j in range(r)) for i in range(r))
         iota = mat_mul(U, Wp)
         rho = mat_mul(Vp, _neumann_inverse(D))

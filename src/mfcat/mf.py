@@ -56,41 +56,30 @@ def mat_zero(nrows, ncols):
 
 
 def mat_mul(A, B):
-    if A and B and len(A[0]) != len(B):
+    if A and len(A[0]) != len(B):
         raise PolyError("mat_mul of %dx%d by %dx%d matrices"
-                        % (len(A), len(A[0]), len(B), len(B[0])))
+                        % (len(A), len(A[0]), len(B), len(B[0]) if B else 0))
+    ncols = len(B[0]) if B else 0
     out = []
     for row in A:
+        # only the nonzero entries of the row meet B; each sum starts from
+        # its first product, so the terms arrive in the same order as a
+        # dense accumulation from Poly() would give them
+        pairs = [(B[k], a) for k, a in enumerate(row) if a.terms]
         out_row = []
-        for j in range(len(B[0]) if B else 0):
-            s = Poly()
-            for k, a in enumerate(row):
-                if a:
-                    b = B[k][j]
-                    if b:
-                        s = s + a * b
-            out_row.append(s)
+        for j in range(ncols):
+            s = None
+            for brow, a in pairs:
+                b = brow[j]
+                if b.terms:
+                    s = a * b if s is None else s + a * b
+            out_row.append(Poly() if s is None else s)
         out.append(tuple(out_row))
     return tuple(out)
-
-def mat_add(A, B):
-    return tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_sub(A, B):
-    return tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
 
 
 def mat_neg(A):
     return tuple(tuple(-a for a in row) for row in A)
-
-
-def mat_scale(c, A):
-    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def mat_is_zero(A):
@@ -112,12 +101,16 @@ def mat_block(blocks):
                 col_sizes.extend([None] * (bj + 1 - len(col_sizes)))
             if row_sizes[bi] is None:
                 row_sizes[bi] = n
-            assert row_sizes[bi] == n
+            if row_sizes[bi] != n:
+                raise PolyError("mat_block row %d mixes heights %d and %d"
+                                % (bi, row_sizes[bi], n))
             if col_sizes[bj] is None:
                 col_sizes[bj] = m
-            assert col_sizes[bj] == m
-    assert all(s is not None for s in row_sizes)
-    assert all(s is not None for s in col_sizes)
+            if col_sizes[bj] != m:
+                raise PolyError("mat_block column %d mixes widths %d and %d"
+                                % (bj, col_sizes[bj], m))
+    if len(row_sizes) != len(blocks) or None in row_sizes or None in col_sizes:
+        raise PolyError("mat_block has a block row or column of Nones only")
     out = []
     for bi, brow in enumerate(blocks):
         rows = [[] for _ in range(row_sizes[bi])]
@@ -153,11 +146,11 @@ class GradedMF:
         self.label = label
         r = self.r
         if any(len(row) != r for row in self.phi):
-            raise ValueError("phi must be square")
+            raise PolyError("phi must be square")
         if len(self.psi) != r or any(len(row) != r for row in self.psi):
-            raise ValueError("psi must match phi's size")
+            raise PolyError("psi must match phi's size")
         if len(self.S) != 2 * r:
-            raise ValueError("S must list 2r degrees")
+            raise PolyError("S must list 2r degrees")
 
     @property
     def r(self):
@@ -294,9 +287,9 @@ class Morphism:
         self.phi0 = mat_freeze(phi0)
         self.phi1 = mat_freeze(phi1)
         if len(self.phi0) != dst.r or (dst.r and len(self.phi0[0]) != src.r):
-            raise ValueError("phi0 must be r_dst x r_src")
+            raise PolyError("phi0 must be r_dst x r_src")
         if len(self.phi1) != dst.r or (dst.r and len(self.phi1[0]) != src.r):
-            raise ValueError("phi1 must be r_dst x r_src")
+            raise PolyError("phi1 must be r_dst x r_src")
 
     def is_zero(self):
         return mat_is_zero(self.phi0) and mat_is_zero(self.phi1)
@@ -328,9 +321,11 @@ def verify_morphism(m):
                     out.append(
                         "%s[%d][%d] degree %s, expected %s" % (name, i, j, d, want)
                     )
-    if not mat_is_zero(mat_sub(mat_mul(dst.phi, m.phi1), mat_mul(m.phi0, src.phi))):
+    # Poly is canonical (no zero coefficients), so equal products are
+    # exactly a vanishing difference
+    if mat_mul(dst.phi, m.phi1) != mat_mul(m.phi0, src.phi):
         out.append("cocycle fails: phi' phi1 != phi0 phi")
-    if not mat_is_zero(mat_sub(mat_mul(dst.psi, m.phi0), mat_mul(m.phi1, src.psi))):
+    if mat_mul(dst.psi, m.phi0) != mat_mul(m.phi1, src.psi):
         out.append("cocycle fails: psi' phi0 != phi1 psi")
     return out
 
@@ -435,10 +430,10 @@ def _eliminate(phi, psi, i, j, u):
         for m in range(r):
             psi[m][i] = psi[m][i] + t * psi[m][k]
     for k in range(r):
-        assert not phi[i][k] or k == j
-        assert not phi[k][j] or k == i
-        assert not psi[j][k] or k == i
-        assert not psi[k][i] or k == j
+        if ((phi[i][k] and k != j) or (phi[k][j] and k != i)
+                or (psi[j][k] and k != i) or (psi[k][i] and k != j)):
+            raise ArithmeticError("unit elimination left a nonzero entry "
+                                  "beside the pivot")
     new_phi = [
         [phi[a][b] for b in range(r) if b != j] for a in range(r) if a != i
     ]
@@ -583,6 +578,8 @@ def mf_to_json(g):
 
 
 def mf_from_json(d):
+    """Load the plain-dict form, re-verifying phi*psi = psi*phi = f*1 and
+    the grading; raises PolyError on any malformed or violating payload."""
     try:
         W = WeightSystem(*d["W"])
         f = parse_poly(d["f"])
@@ -591,9 +588,12 @@ def mf_from_json(d):
         psi = [[parse_poly(e) for e in row] for row in d["psi"]]
         S = [Fraction(s) for s in d["S"]]
         label = d.get("type", "")
-    except (KeyError, TypeError, ValueError, PolyError) as exc:
+        g = GradedMF(f, W, phi, psi, S, label=label)
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise PolyError("malformed graded MF object: %s" % exc)
-    g = GradedMF(f, W, phi, psi, S, label=label)
     if g.r != r:
         raise PolyError("size field disagrees with phi")
+    bad = verify_mf(g) + verify_grading(g)
+    if bad:
+        raise PolyError("graded MF object violates its contract: %s" % bad[0])
     return g

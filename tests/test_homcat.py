@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfcat.catalog import get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
 from mfcat.homcat import (
+    _scalar_mul,
     ar_triangle_check,
     check_jacobi_annihilation,
     class_hom_dim,
@@ -138,6 +141,88 @@ def test_hom_basis_morphisms_are_strict_witnesses():
         coords = H.coordinates(m)
         assert coords[i] == GaussRat(1)
         assert all(not c for j, c in enumerate(coords) if j != i)
+
+
+def test_verify_morphism_reports_a_perturbed_witness():
+    cat = get_catalog("D4")
+    m = hom_space(cat.object(1, 0), cat.object(3, 1)).basis[0]
+    i, j = next((i, j) for i, row in enumerate(m.phi0)
+                for j, p in enumerate(row) if p)
+    # doubling an entry keeps its degree, so only the cocycle can fail
+    phi0 = [list(row) for row in m.phi0]
+    phi0[i][j] = phi0[i][j] * 2
+    bad = Morphism(m.src, m.dst, phi0, m.phi1)
+    assert verify_morphism(bad) == [
+        "cocycle fails: phi' phi1 != phi0 phi",
+        "cocycle fails: psi' phi0 != phi1 psi",
+    ]
+
+
+def _dense_scalar_mul(A, B):
+    m = len(B[0]) if B else 0
+    return [[sum((A[i][t] * B[t][j] for t in range(len(B))), GaussRat(0))
+             for j in range(m)] for i in range(len(A))]
+
+
+def _dense_mat_mul(A, B):
+    m = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(m):
+            s = Poly()
+            for t, a in enumerate(row):
+                s = s + a * B[t][j]
+            out_row.append(s)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+# mostly zero, like the witness matrices of the splitting path
+sparse_gauss = st.one_of(
+    st.just(GaussRat(0)), st.just(GaussRat(0)),
+    st.builds(GaussRat, st.fractions(-3, 3, max_denominator=3),
+              st.integers(-2, 2)))
+sparse_poly = st.one_of(
+    st.just(Poly()), st.just(Poly()),
+    st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                 st.integers(0, 1)), sparse_gauss),
+             min_size=1, max_size=3).map(
+        lambda terms: sum((Poly.monomial(e, c) for e, c in terms), Poly())))
+
+
+@st.composite
+def _sparse_pair(draw, entries, zero):
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    A = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    B = [[draw(entries) for _ in range(m)] for _ in range(k)]
+    if n and draw(st.booleans()):
+        A[draw(st.integers(0, n - 1))] = [zero] * k
+    if k and m and draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in B:
+            row[j] = zero
+    return A, B
+
+
+@given(_sparse_pair(sparse_gauss, GaussRat(0)), _sparse_pair(sparse_poly, Poly()))
+def test_sparse_products_match_the_dense_reference(scalars, polys):
+    A, B = scalars
+    assert _scalar_mul(A, B) == _dense_scalar_mul(A, B)
+    A, B = polys
+    got, want = mat_mul(A, B), _dense_mat_mul(A, B)
+    assert got == want
+    # the same terms in the same order, not just equal polynomials
+    assert ([[list(p.terms.items()) for p in row] for row in got]
+            == [[list(p.terms.items()) for p in row] for row in want])
+
+
+def test_scalar_mul_rejects_a_shape_mismatch():
+    one = GaussRat(1)
+    with pytest.raises(PolyError):
+        _scalar_mul([[one, one]], [[one]])
+    with pytest.raises(PolyError):
+        _scalar_mul([[one]], [])
 
 
 def test_multiplication_by_the_potential_is_null_homotopic():

@@ -8,16 +8,20 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import mfcat
 from mfcat.catalog import get_catalog
-from mfcat.gring import Poly, PolyError
+from mfcat.gring import Poly, PolyError, parse_poly, poly_to_str
 from mfcat.homcat import hom_space
 from mfcat.mf import (
     GradedMF,
+    Morphism,
     cone,
     direct_sum,
     identity_morphism,
+    mat_mul,
     mf_from_json,
     mf_to_json,
     permute_slots,
@@ -162,12 +166,67 @@ def test_json_rejects_malformed_payloads():
         mf_from_json(broken)
 
 
+def _corrupt(d, kind, pick):
+    """A copy of the JSON form d with one defect of the given kind."""
+    d = dict(d, phi=[list(row) for row in d["phi"]],
+             psi=[list(row) for row in d["psi"]], S=list(d["S"]))
+    r = d["size"]
+    if kind == "entry":
+        # adding x to one entry breaks phi*psi = f*1 (psi has no zero row)
+        blk = d["phi" if pick % 2 else "psi"]
+        i, j = (pick // 2) % r, (pick // (2 * r)) % r
+        blk[i][j] = poly_to_str(parse_poly(blk[i][j]) + Poly.var("x"))
+    elif kind == "slot":
+        # every slot meets a nonzero entry, whose degree then disagrees
+        d["S"][pick % (2 * r)] = str(Fraction(d["S"][pick % (2 * r)])
+                                     + Fraction(1, 7))
+    elif kind == "shape":
+        shape_cuts = (
+            lambda: d["phi"].pop(),
+            lambda: d["psi"][pick % r].pop(),
+            lambda: d["S"].pop(),
+            lambda: d.update(phi=[["x"]], size=1),
+        )
+        shape_cuts[pick % len(shape_cuts)]()
+    else:
+        wrong_types = (
+            ("W", "abc"), ("W", [1, 2, 3, "x"]), ("f", 5), ("phi", 7),
+            ("S", [None] * (2 * r)), ("S", ["1/0"] * (2 * r)),
+            ("size", str(r)), ("psi", [[[]] * r] * r),
+        )
+        field, value = wrong_types[pick % len(wrong_types)]
+        d[field] = value
+    return d
+
+
+@given(st.integers(0, len(SPOTS) - 1),
+       st.sampled_from(["entry", "slot", "shape", "type"]),
+       st.integers(0, 10 ** 6))
+@example(0, "shape", 3)  # a 1x1 phi beside an r x r psi
+@example(0, "type", 5)  # a zero denominator in S
+def test_json_load_rejects_every_corruption_with_polyerror(spot, kind, pick):
+    d = _corrupt(mf_to_json(_objects()[spot]), kind, pick)
+    with pytest.raises(PolyError):
+        mf_from_json(d)
+
+
+def test_shape_errors_raise_polyerror():
+    g = _objects()[0]
+    with pytest.raises(PolyError):
+        GradedMF(g.f, g.W, [[Poly.var("x")]], g.psi, g.S)
+    with pytest.raises(PolyError):
+        Morphism(g, g, g.phi[:-1], g.phi)
+    with pytest.raises(PolyError):
+        mat_mul(((Poly.const(1), Poly.const(2)),), ())
+
+
 _OPTIMIZED_PROBE = """
 from mfcat.gring import GaussRat, Poly, PolyError
-from mfcat.mf import mat_mul
+from mfcat.mf import mat_block, mat_mul
+one = ((Poly.const(1),),)
 for name, call in (
-        ("mat_mul", lambda: mat_mul(((Poly.const(1),),),
-                                    ((Poly.const(2),), (Poly.const(3),)))),
+        ("mat_mul", lambda: mat_mul(one, ((Poly.const(2),), (Poly.const(3),)))),
+        ("mat_block", lambda: mat_block([[one, one + one]])),
         ("GaussRat", lambda: GaussRat(GaussRat(1), 5))):
     try:
         call()
@@ -184,4 +243,5 @@ def test_shape_checks_survive_python_O():
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(mfcat.__file__))
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["mat_mul rejected", "GaussRat rejected"]
+    assert out.stdout.splitlines() == [
+        "mat_mul rejected", "mat_block rejected", "GaussRat rejected"]
