@@ -450,9 +450,9 @@ class WeightSystem:
 
     def __init__(self, a, b, c, h):
         if min(a, b, c, h) <= 0:
-            raise ValueError("weights must be positive")
+            raise PolyError("weights must be positive")
         if gcd(gcd(a, b), c) != 1:
-            raise ValueError("weights must be coprime")
+            raise PolyError("weights must be coprime")
         self.a, self.b, self.c, self.h = a, b, c, h
 
     @property
@@ -629,18 +629,9 @@ def _span_rank(vectors):
     vectors: list of (poly, index_map); coefficients are cleared to Gaussian
     integers row by row.
     """
-    rows = []
-    for poly, index in vectors:
-        den = 1
-        for c in poly.terms.values():
-            den = den * (c.re.denominator // gcd(den, c.re.denominator))
-            den = den * (c.im.denominator // gcd(den, c.im.denominator))
-        items = []
-        for e, c in poly.terms.items():
-            items.append(
-                (index[e], int(c.re * den), int(c.im * den))
-            )
-        rows.append(kernel.row_from_items(items))
+    rows = [kernel.row_from_fractions(
+        [(index[e], c.re, c.im) for e, c in poly.terms.items()])[0]
+        for poly, index in vectors]
     return kernel.rank(rows, presort=True)
 
 

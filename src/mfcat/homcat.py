@@ -38,20 +38,8 @@ _VARS = ("x", "y", "z")
 
 
 def _clear_row(items):
-    """[(col, GaussRat)] -> kernel row with integer Gaussian entries."""
-    lcm = 1
-    for _, c in items:
-        for d in (c.re.denominator, c.im.denominator):
-            if d != 1:
-                g = math.gcd(lcm, d)
-                lcm = lcm // g * d
-    out = []
-    for col, c in items:
-        re = c.re * lcm
-        im = c.im * lcm
-        if re or im:
-            out.append((col, int(re), int(im)))
-    return kernel.row_from_items(out)
+    """[(col, GaussRat)] -> (kernel row, scale); row equals scale * items."""
+    return kernel.row_from_fractions([(col, c.re, c.im) for col, c in items])
 
 
 def _term_table(mat, scale, by_col):
@@ -223,28 +211,12 @@ class _System:
                                 "morphism entry (%d,%d,%d) has a monomial of "
                                 "inadmissible degree" % (blk, i, j))
                         items.append((vidx, c))
-        lcm = 1
-        for _, c in items:
-            for d in (c.re.denominator, c.im.denominator):
-                if d != 1:
-                    g = math.gcd(lcm, d)
-                    lcm = lcm // g * d
-        row = kernel.row_from_items(
-            [(v, int(c.re * lcm), int(c.im * lcm)) for v, c in items]
-        )
-        return row, lcm
+        return _clear_row(items)
 
 
 def _vec_to_row(vec):
     """Nullspace dict col -> (Fraction, Fraction) to an integer kernel row."""
-    lcm = 1
-    for re, im in vec.values():
-        for d in (re.denominator, im.denominator):
-            if d != 1:
-                g = math.gcd(lcm, d)
-                lcm = lcm // g * d
-    items = [(c, int(re * lcm), int(im * lcm)) for c, (re, im) in sorted(vec.items())]
-    return kernel.row_from_items(items)
+    return kernel.row_from_fractions([(c, re, im) for c, (re, im) in vec.items()])[0]
 
 
 class HomSpace:
@@ -430,7 +402,7 @@ def is_indecomposable(g):
                     tr = tr + L[i][a][b] * L[j][b][a]
             if tr:
                 items.append((j, tr))
-        rows.append(_clear_row(items))
+        rows.append(_clear_row(items)[0])
     return kernel.rank(rows, presort=True) == 1
 
 
@@ -475,34 +447,26 @@ def _scalar_mul(A, B):
 def _rank_factor(E):
     """Idempotent scalar matrix E = W*V with V*W = id; returns (W, V, cols)."""
     n = len(E)
+    # column j of E as (kernel row, scale)
+    ecols = [_clear_row([(i, E[i][j]) for i in range(n) if E[i][j]])
+             for j in range(n)]
     cols = []
     ech = kernel.Echelon()
     for j in range(n):
-        items = [(i, E[i][j]) for i in range(n) if E[i][j]]
-        if ech.insert(_clear_row(items)):
+        if ech.insert(ecols[j][0]):
             cols.append(j)
     m = len(cols)
     Wm = [[E[i][j] for j in cols] for i in range(n)]
-    wcols = []
-    for j in range(m):
-        wcols.append(_clear_row([(i, Wm[i][j]) for i in range(n) if Wm[i][j]]))
+    wcols = [ecols[j][0] for j in cols]
     V = [[GaussRat(0)] * n for _ in range(m)]
     for j in range(n):
-        rhs_items = [(i, E[i][j]) for i in range(n) if E[i][j]]
-        lcm = 1
-        for _, c in rhs_items:
-            for dnm in (c.re.denominator, c.im.denominator):
-                if dnm != 1:
-                    gg = math.gcd(lcm, dnm)
-                    lcm = lcm // gg * dnm
-        rhs = kernel.row_from_items(
-            [(i, int(c.re * lcm), int(c.im * lcm)) for i, c in rhs_items])
+        rhs, scale = ecols[j]
         sol = kernel.solve(wcols, rhs)
         if sol is None:
             raise ArithmeticError("column outside the image of the idempotent")
         for t in range(m):
             re, im = sol[t]
-            V[t][j] = GaussRat(re / lcm, im / lcm)
+            V[t][j] = GaussRat(re / scale, im / scale)
     prod = _scalar_mul(V, Wm)
     for i in range(m):
         for j in range(m):

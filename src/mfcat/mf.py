@@ -356,7 +356,7 @@ def cone(m):
 
 def direct_sum(a, b):
     if a.f != b.f or a.W != b.W:
-        raise ValueError("direct sum needs matching potential and weights")
+        raise PolyError("direct sum needs matching potential and weights")
     phi = mat_block([[a.phi, None], [None, b.phi]])
     psi = mat_block([[a.psi, None], [None, b.psi]])
     S = list(a.s_row) + list(b.s_row) + list(a.sbar_row) + list(b.sbar_row)

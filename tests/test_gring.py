@@ -12,6 +12,7 @@ from mfcat.gring import (
     GaussRat,
     Poly,
     PolyError,
+    WeightSystem,
     ade_polynomial,
     ade_weight_system,
     milnor_poincare,
@@ -115,6 +116,12 @@ def test_weight_systems_of_the_five_families():
                     ("E8", (10, 6, 15, 30))):
         W = ade_weight_system(t)
         assert (W.a, W.b, W.c, W.h) == want
+
+
+def test_weight_system_rejects_bad_weights_with_polyerror():
+    for bad in ((0, 1, 1, 2), (1, 2, 3, -6), (2, 4, 6, 12)):
+        with pytest.raises(PolyError):
+            WeightSystem(*bad)
 
 
 def test_polynomials_are_weighted_homogeneous_of_degree_two():

@@ -1,24 +1,16 @@
-"""Linear-algebra backends: compiled and pure-Python twins must agree."""
+"""Exact sparse linear algebra over the Gaussian integers."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
+from math import lcm
 
-import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mfcat import _kernel_py as pyk
+from mfcat import kernel as pyk
 from mfcat.catalog import get_catalog
 from mfcat.homcat import _System
-
-try:
-    from mfcat import _kernel as ck
-except ImportError:
-    ck = None
-
-needs_compiled = pytest.mark.skipif(ck is None, reason="compiled kernel missing")
 
 
 def _systems():
@@ -49,6 +41,29 @@ def test_row_from_items_merges_and_normalizes():
     row = pyk.row_from_items([(3, 1, 0), (1, 2, -1), (3, -1, 0), (2, 0, 0)])
     assert row == ([1], [2], [-1])
     assert pyk.row_from_items([]) == ([], [], [])
+
+
+parts = st.one_of(
+    st.integers(-20, 20),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), parts, parts), max_size=12))
+def test_row_from_fractions_clears_by_the_lcm_of_the_denominators(items):
+    row, scale = pyk.row_from_fractions(items)
+    assert scale == lcm(*(Fraction(x).denominator
+                          for _, re, im in items for x in (re, im)))
+    want = {}
+    for c, re, im in items:
+        ore, oim = want.get(c, (0, 0))
+        want[c] = (ore + re * scale, oim + im * scale)
+    cols, res, ims = row
+    assert cols == sorted(c for c, v in want.items() if v != (0, 0))
+    for c, re, im in zip(cols, res, ims):
+        assert type(re) is int and type(im) is int
+        assert (re, im) == want[c]
 
 
 def test_nullspace_vectors_annihilate_the_rows():
@@ -119,34 +134,3 @@ def test_modp_rank_is_a_lower_bound_and_usually_exact():
             # the engine's certificate route relies on these being equal on
             # catalog systems at the shipped prime
             assert modp == exact
-
-
-@needs_compiled
-def test_compiled_and_pure_backends_agree():
-    for sys_ in _systems():
-        for rows in (sys_.cocycle_rows, sys_.boundary_rows):
-            rows = list(rows)
-            assert ck.rank(list(rows)) == pyk.rank(list(rows))
-            assert ck.rank(list(rows), presort=True) == pyk.rank(
-                list(rows), presort=True)
-            assert ck.rank_modp(rows) == pyk.rank_modp(rows)
-        rows = sys_.cocycle_rows
-        assert ck.nullspace(rows, sys_.nvars) == pyk.nullspace(rows, sys_.nvars)
-        cand = list(sys_.boundary_rows)
-        assert (ck.select_independent([], cand)
-                == pyk.select_independent([], cand))
-    assert (ck.MODP, ck.MODP_I) == (pyk.MODP, pyk.MODP_I)
-
-
-@needs_compiled
-def test_backend_selector_honors_the_environment():
-    code = "import mfcat.kernel as k; print(k.BACKEND)"
-    env = dict(os.environ)
-    env.pop("MFCAT_PURE_PYTHON", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "compiled"
-    env["MFCAT_PURE_PYTHON"] = "1"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "python"

@@ -121,6 +121,12 @@ def test_direct_sum_layout_and_reduction():
     assert r.r == s.r
 
 
+def test_direct_sum_rejects_mismatched_potentials_with_polyerror():
+    with pytest.raises(PolyError):
+        direct_sum(get_catalog("A4", 2).object(1, 0),
+                   get_catalog("D4").object(1, 0))
+
+
 def test_permute_slots_preserves_the_contracts():
     g = get_catalog("D5").object(3, 0)
     perm0 = list(reversed(range(g.r)))
