@@ -477,6 +477,7 @@ class Catalog:
         self.h = self.W.h
         self.diagram = DynkinDiagram(letter, l, b)
         self._base_objects = {}
+        self.memo = {}  # results derived from this catalog, filled by homcat
 
     def sigma(self, k):
         self._check_vertex(k)
@@ -524,25 +525,25 @@ class Catalog:
         qs, qbars = self.q_vectors(k)
         r = len(phi)
         if r != 2 * len(qs):
-            raise AssertionError("block size disagrees with the q data")
+            raise ArithmeticError("block size disagrees with the q data")
         ph = self.phase(k, 0)
         family = solve_grading(self.W, phi, psi)
         if family is None or len(family.components) != 1:
-            raise AssertionError(
+            raise ArithmeticError(
                 "grading underdetermined or unsatisfiable for %s" % self._label(k, 0)
             )
         first = sorted([q + ph for q in qs] + [-q + ph for q in qs])
         second = sorted([q + ph for q in qbars] + [-q + ph for q in qbars])
         S = family.pin_by_sum(sum(first) + sum(second))
         if sorted(S[:r]) != first or sorted(S[r:]) != second:
-            raise AssertionError(
+            raise ArithmeticError(
                 "solved grading disagrees with the q multiset for %s"
                 % self._label(k, 0)
             )
         g = GradedMF(self.f, self.W, phi, psi, S, label=self._label(k, 0))
         bad = verify_mf(g) + verify_grading(g)
         if bad:
-            raise AssertionError(
+            raise ArithmeticError(
                 "catalog object %s fails verification: %s" % (g.label, bad[0])
             )
         return g

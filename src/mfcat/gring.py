@@ -632,7 +632,7 @@ def _span_rank(vectors):
     rows = [kernel.row_from_fractions(
         [(index[e], c.re, c.im) for e, c in poly.terms.items()])[0]
         for poly, index in vectors]
-    return kernel.rank(rows, presort=True)
+    return kernel.rank(rows)
 
 
 def milnor_poincare(f, W):

@@ -10,6 +10,7 @@ Auslander-Reiten triangles all reduce to exact rank computations.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -258,7 +259,7 @@ def hom_space(src, dst):
     zrows = [_vec_to_row(vec) for vec in zbasis]
     chosen = kernel.select_independent(sys.boundary_rows, zrows)
     basis = [sys.morphism_from_row(zrows[i]) for i in chosen]
-    rank_b = kernel.rank(sys.boundary_rows, presort=True)
+    rank_b = kernel.rank(sys.boundary_rows)
     dim = len(zbasis) - rank_b
     if dim != len(chosen):
         raise ArithmeticError("boundary image escapes the cocycle space")
@@ -279,8 +280,8 @@ def hom_dim(src, dst):
     if (kernel.rank_modp(sys.cocycle_rows) + kernel.rank_modp(sys.boundary_rows)
             == sys.nvars):
         return 0
-    return (sys.nvars - kernel.rank(sys.cocycle_rows, presort=True)
-            - kernel.rank(sys.boundary_rows, presort=True))
+    return (sys.nvars - kernel.rank(sys.cocycle_rows)
+            - kernel.rank(sys.boundary_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ def is_indecomposable(g):
             if tr:
                 items.append((j, tr))
         rows.append(_clear_row(items)[0])
-    return kernel.rank(rows, presort=True) == 1
+    return kernel.rank(rows) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -631,46 +632,42 @@ def identify_object(cat, g):
     return None
 
 
-_T_IMAGE_CACHE = {}
+def _per_catalog(fn):
+    """Memoize ``fn(cat, *args)`` in ``cat.memo`` under ``(fn.__name__,) + args``."""
+
+    @functools.wraps(fn)
+    def memoized(cat, *args):
+        key = (fn.__name__,) + args
+        if key not in cat.memo:
+            cat.memo[key] = fn(cat, *args)
+        return cat.memo[key]
+
+    return memoized
 
 
+@_per_catalog
 def t_image(cat, k):
     """(k', n') with T(M^k_0) isomorphic to M^{k'}_{n'}, certified."""
-    key = (cat.type_str, cat.b, k)
-    hit = _T_IMAGE_CACHE.get(key)
-    if hit is not None:
-        return hit
     res = identify_object(cat, shift_T(cat.object(k, 0)))
     if res is None:
         raise ArithmeticError("T-image of vertex %d not found in catalog" % k)
-    _T_IMAGE_CACHE[key] = res
     return res
 
 
-_SERRE_IMAGE_CACHE = {}
-
-
+@_per_catalog
 def serre_image(cat, k):
     """(k', n') with S(M^k_0) isomorphic to M^{k'}_{n'}, certified."""
-    key = (cat.type_str, cat.b, k)
-    hit = _SERRE_IMAGE_CACHE.get(key)
-    if hit is not None:
-        return hit
     res = identify_object(cat, serre(cat.object(k, 0)))
     if res is None:
         raise ArithmeticError("Serre image of vertex %d not found" % k)
     kT, _ = t_image(cat, k)
     if res[0] != kT:
         raise ArithmeticError("Serre image disagrees with the T-image vertex")
-    _SERRE_IMAGE_CACHE[key] = res
     return res
 
 
 # ---------------------------------------------------------------------------
 # class-level Hom dimensions
-
-
-_DIM_CACHE = {}
 
 
 def class_hom_dim(cat, k, kprime, c):
@@ -683,17 +680,12 @@ def class_hom_dim(cat, k, kprime, c):
     sig, sigp = cat.sigma(k), cat.sigma(kprime)
     if (c - sigp + sig) % 2:
         return 0
-    key = (cat.type_str, cat.b, k, kprime, c)
-    hit = _DIM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n_prime = (c - sigp + sig) // 2
-    d = hom_dim(cat.object(k, 0), cat.object(kprime, n_prime))
-    _DIM_CACHE[key] = d
-    return d
+    return _class_dim(cat, k, kprime, (c - sigp + sig) // 2)
 
 
-_MULTISET_CACHE = {}
+@_per_catalog
+def _class_dim(cat, k, kprime, n_prime):
+    return hom_dim(cat.object(k, 0), cat.object(kprime, n_prime))
 
 
 def hom_multiset(cat, k, kprime):
@@ -702,10 +694,6 @@ def hom_multiset(cat, k, kprime):
     Scans c in [-4, h+2] and insists the margins are empty; a nonzero
     dimension outside the window is an engine error, not data.
     """
-    key = (cat.type_str, cat.b, k, kprime)
-    hit = _MULTISET_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = []
     for c in range(-4, cat.h + 3):
         d = class_hom_dim(cat, k, kprime, c)
@@ -716,12 +704,7 @@ def hom_multiset(cat, k, kprime):
                 "nonzero Hom at c=%d outside [0, h-2] for (%s, k=%d, k'=%d)"
                 % (c, cat.type_str, k, kprime))
         out.append((c, d))
-    res = tuple(out)
-    _MULTISET_CACHE[key] = res
-    return res
-
-
-_SERRE_RHS_CACHE = {}
+    return tuple(out)
 
 
 def serre_rhs_dim(cat, k_y, k_x, cprime):
@@ -734,14 +717,12 @@ def serre_rhs_dim(cat, k_y, k_x, cprime):
     n2 = cprime - cat.h + 2 - cat.sigma(k_x) + cat.sigma(k_y)
     if n2 % 2:
         return 0
-    key = (cat.type_str, cat.b, k_y, k_x, cprime)
-    hit = _SERRE_RHS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    X = cat.object(k_x, n2 // 2)
-    d = hom_dim(cat.object(k_y, 0), serre(X))
-    _SERRE_RHS_CACHE[key] = d
-    return d
+    return _serre_rhs_dim(cat, k_y, k_x, n2 // 2)
+
+
+@_per_catalog
+def _serre_rhs_dim(cat, k_y, k_x, n):
+    return hom_dim(cat.object(k_y, 0), serre(cat.object(k_x, n)))
 
 
 def serre_duality_report(cat, lo=0, hi=2):

@@ -8,6 +8,7 @@ normalization, so values stay Gaussian integers throughout; exact rationals
 only appear in the back substitution of :func:`nullspace`.
 """
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -166,14 +167,13 @@ class Echelon:
         return True
 
 
-def rank(rows, presort=False):
+def rank(rows):
     """Rank of a list of sparse rows.
 
-    ``presort`` processes short rows first (a cheap Markowitz-style heuristic;
-    the result is identical, the run time often is not).
+    Short rows are processed first (a cheap Markowitz-style heuristic; the
+    result does not depend on the order, the run time does).
     """
-    if presort:
-        rows = sorted(rows, key=lambda r: (len(r[0]), r[0], r[1], r[2]))
+    rows = sorted(rows, key=lambda r: (len(r[0]), r[0], r[1], r[2]))
     ech = Echelon()
     n = 0
     for row in rows:
@@ -245,7 +245,7 @@ def select_independent(base_rows, cand_rows):
     return chosen
 
 
-def solve(columns, rhs, nvars=None):
+def solve(columns, rhs):
     """Solve ``sum_c y_c * columns[c] = rhs`` exactly over ℚ(i).
 
     ``columns`` and ``rhs`` are sparse rows (coordinate vectors).  Returns a
@@ -290,14 +290,13 @@ def _find_imag(p):
 MODP_I = _find_imag(MODP)
 
 
-def rank_modp(rows, p=MODP, imag=MODP_I):
-    """Rank of the row set after reduction mod p (with i ↦ imag).
+def rank_modp(rows):
+    """Rank of the row set after reduction mod p = MODP (with i ↦ MODP_I).
 
     Always ≤ the rank over ℚ(i); equality is not guaranteed, so use the
     result only as a lower bound / full-rank certificate.
     """
-    from bisect import insort
-
+    p, imag = MODP, MODP_I
     pivots = {}
     order = []
     rk = 0

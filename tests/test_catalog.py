@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from mfcat import catalog
 from mfcat.catalog import (
+    Catalog,
     DynkinDiagram,
     dynkin_distance,
     get_catalog,
@@ -130,3 +132,9 @@ def test_catalogs_are_cached_and_polynomials_match():
         cat = get_catalog(t, b)
         f, W = ade_polynomial(t, b)
         assert cat.f == f and cat.W == W
+
+
+def test_engine_integrity_failures_raise_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(catalog, "solve_grading", lambda *args: None)
+    with pytest.raises(ArithmeticError):
+        Catalog("D4").object(1, 0)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfcat.catalog import get_catalog
+from mfcat import homcat
+from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
 from mfcat.homcat import (
     _scalar_mul,
@@ -28,6 +29,7 @@ from mfcat.homcat import (
     serre_duality_report,
     serre_image,
     serre_multiset_mirror,
+    serre_rhs_dim,
     t_image,
 )
 from mfcat.mf import (
@@ -329,3 +331,50 @@ def test_hom_multiset_rejects_bad_vertices():
     cat = get_catalog("A3")
     with pytest.raises(PolyError):
         hom_multiset(cat, 0, 1)
+
+
+def test_repeat_calls_are_answered_from_the_catalog_memo(monkeypatch):
+    calls = []
+    for name in ("hom_dim", "identify_object"):
+        def counted(*args, _real=getattr(homcat, name)):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(homcat, name, counted)
+    cat = Catalog("D4")
+    # each call below is parity-admissible, so the first one computes
+    for fn, args in ((t_image, (2,)), (serre_image, (1,)),
+                     (class_hom_dim, (1, 3, 2)), (serre_rhs_dim, (3, 1, 2))):
+        before = len(calls)
+        first = fn(cat, *args)
+        assert len(calls) > before
+        before = len(calls)
+        assert fn(cat, *args) == first
+        assert len(calls) == before
+
+
+def test_each_catalog_owns_its_memo():
+    fresh = Catalog("D4")
+    shared = get_catalog("D4")
+    assert fresh is not shared and fresh.memo == {}
+    hom_multiset(shared, 1, 3)
+    assert shared.memo and fresh.memo == {}
+    assert hom_multiset(fresh, 1, 3) == hom_multiset(shared, 1, 3)
+    assert fresh.memo and fresh.memo is not shared.memo
+
+
+def test_catalogs_differing_only_in_b_keep_separate_memo_entries():
+    # sigma depends on the base vertex b, so one (k, k', c) class pins a
+    # different twist in each catalog
+    cats = (get_catalog("A4", 2), get_catalog("A4", 3))
+    # the second pass reads each memo after both catalogs have filled theirs
+    for _ in range(2):
+        for cat in cats:
+            for k in cat.diagram.vertices:
+                for kp in cat.diagram.vertices:
+                    gap = cat.sigma(kp) - cat.sigma(k)
+                    for c in range(-2, cat.h + 1):
+                        if (c - gap) % 2:
+                            continue
+                        want = hom_dim(cat.object(k, 0),
+                                       cat.object(kp, (c - gap) // 2))
+                        assert class_hom_dim(cat, k, kp, c) == want
