@@ -30,80 +30,131 @@ def _frac(v):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    raise TypeError("expected int or Fraction, got %r" % (v,))
+    raise PolyError("expected int or Fraction, got %r" % (v,))
+
+
+_new = object.__new__
+
+
+def _make(a, b, d):
+    """The GaussRat (a + b*i)/d for ints a, b and d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRat)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
 
 
 class GaussRat:
-    """An element re + im*sqrt(-1) of Q(i), exact."""
+    """An element (a + b*i)/d of Q(i), exact.
 
-    __slots__ = ("re", "im")
+    Stored as three Python ints with d > 0 and gcd(a, b, d) == 1, so every
+    value has exactly one representation and equality compares the triples;
+    zero is (0, 0, 1).  Arithmetic runs on the ints and reduces by one gcd
+    only when the new denominator is not 1.  The ``re`` and ``im`` parts are
+    read as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
         if isinstance(re, GaussRat):
             if im != 0:
                 raise PolyError("GaussRat(GaussRat, im) takes no imaginary part")
-            self.re, self.im = re.re, re.im
+            self.a, self.b, self.d = re.a, re.b, re.d
             return
-        self.re = _frac(re)
-        self.im = _frac(im)
+        re, im = _frac(re), _frac(im)
+        dr, di = re.denominator, im.denominator
+        # re and im are in lowest terms, so the triple over lcm(dr, di) is too
+        d = dr // gcd(dr, di) * di
+        self.a = re.numerator * (d // dr)
+        self.b = im.numerator * (d // di)
+        self.d = d
+
+    from_ints = staticmethod(_make)
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        # hash((re, im)); an int hashes like the equal Fraction
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a + other.a, self.b + other.b, d)
+        return _make(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussRat(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) * f / (d * n)
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -112,10 +163,10 @@ class GaussRat:
         return other / self
 
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def inv(self):
-        return GaussRat(1) / self
+        return ONE / self
 
     def __repr__(self):
         return "GaussRat(%s)" % gauss_to_str(self)
@@ -630,7 +681,7 @@ def _span_rank(vectors):
     integers row by row.
     """
     rows = [kernel.row_from_fractions(
-        [(index[e], c.re, c.im) for e, c in poly.terms.items()])[0]
+        [(index[e], c.a, c.b, c.d) for e, c in poly.terms.items()])[0]
         for poly, index in vectors]
     return kernel.rank(rows)
 

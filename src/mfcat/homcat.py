@@ -40,7 +40,7 @@ _VARS = ("x", "y", "z")
 
 def _clear_row(items):
     """[(col, GaussRat)] -> (kernel row, scale); row equals scale * items."""
-    return kernel.row_from_fractions([(col, c.re, c.im) for col, c in items])
+    return kernel.row_from_fractions([(col, c.a, c.b, c.d) for col, c in items])
 
 
 def _term_table(mat, scale, by_col):
@@ -55,8 +55,7 @@ def _term_table(mat, scale, by_col):
         for j, p in enumerate(row):
             if not p.terms:
                 continue
-            terms = [(mon, c.re.numerator * (scale // c.re.denominator),
-                      c.im.numerator * (scale // c.im.denominator))
+            terms = [(mon, c.a * (scale // c.d), c.b * (scale // c.d))
                      for mon, c in sorted(p.terms.items())]
             line, other = (j, i) if by_col else (i, j)
             table.setdefault(line, []).append((other, terms))
@@ -127,7 +126,8 @@ class _System:
                 for row in mat:
                     for p in row:
                         for co in p.terms.values():
-                            L = math.lcm(L, co.re.denominator, co.im.denominator)
+                            if co.d != 1:
+                                L = math.lcm(L, co.d)
         dphi = _term_table(dst.phi, L, True)
         dpsi = _term_table(dst.psi, L, True)
         sphi = _term_table(src.phi, L, False)
@@ -215,11 +215,6 @@ class _System:
         return _clear_row(items)
 
 
-def _vec_to_row(vec):
-    """Nullspace dict col -> (Fraction, Fraction) to an integer kernel row."""
-    return kernel.row_from_fractions([(c, re, im) for c, (re, im) in vec.items()])[0]
-
-
 class HomSpace:
     """Hom(src, dst) in the homotopy category with a witness basis.
 
@@ -246,8 +241,14 @@ class HomSpace:
         sol = kernel.solve(self._solve_columns, row)
         if sol is None:
             raise PolyError("morphism is not a closed cocycle")
-        return [GaussRat(Fraction(re, 1) / scale, Fraction(im, 1) / scale)
-                for re, im in sol[: self.dim]]
+        (cols, res, ims), den = sol
+        out = [ZERO] * self.dim
+        den *= scale
+        for c, re, im in zip(cols, res, ims):
+            if c >= self.dim:
+                break
+            out[c] = GaussRat.from_ints(re, im, den)
+        return out
 
 
 def hom_space(src, dst):
@@ -255,12 +256,11 @@ def hom_space(src, dst):
     sys = _System(src, dst)
     if not sys.nvars:
         return HomSpace(src, dst, 0, [], None, [])
-    _, zbasis = kernel.nullspace(sys.cocycle_rows, sys.nvars)
-    zrows = [_vec_to_row(vec) for vec in zbasis]
+    _, zrows = kernel.nullspace(sys.cocycle_rows, sys.nvars)
     chosen = kernel.select_independent(sys.boundary_rows, zrows)
     basis = [sys.morphism_from_row(zrows[i]) for i in chosen]
     rank_b = kernel.rank(sys.boundary_rows)
-    dim = len(zbasis) - rank_b
+    dim = len(zrows) - rank_b
     if dim != len(chosen):
         raise ArithmeticError("boundary image escapes the cocycle space")
     solve_columns = [zrows[i] for i in chosen] + sys.boundary_rows
@@ -465,9 +465,10 @@ def _rank_factor(E):
         sol = kernel.solve(wcols, rhs)
         if sol is None:
             raise ArithmeticError("column outside the image of the idempotent")
-        for t in range(m):
-            re, im = sol[t]
-            V[t][j] = GaussRat(re / scale, im / scale)
+        (tcols, res, ims), den = sol
+        den *= scale
+        for t, re, im in zip(tcols, res, ims):
+            V[t][j] = GaussRat.from_ints(re, im, den)
     prod = _scalar_mul(V, Wm)
     for i in range(m):
         for j in range(m):

@@ -1,15 +1,15 @@
-"""Exact sparse linear algebra over the Gaussian integers / rationals.
+"""Exact sparse linear algebra over the Gaussian integers.
 
 A sparse row is a triple ``(cols, res, ims)`` of parallel lists: strictly
 increasing column indices and the real/imaginary integer parts of the entries.
 Rows never store zero entries.  All elimination is fraction-free (callers
 clear denominators with :func:`row_from_fractions`) with per-row content
-normalization, so values stay Gaussian integers throughout; exact rationals
-only appear in the back substitution of :func:`nullspace`.
+normalization, so values stay Gaussian integers throughout: the back
+substitution of :func:`nullspace` multiplies through by the norm of each
+pivot lead instead of dividing by it, and every result is an integer row.
 """
 
-from bisect import insort
-from fractions import Fraction
+from bisect import bisect, insort
 from math import gcd
 
 # The only backend; the benchmark harness records this name with each run.
@@ -36,20 +36,18 @@ def row_from_items(items):
 
 
 def row_from_fractions(items):
-    """Clear a list of (col, re, im) items with Fraction or int parts.
+    """Clear a list of (col, a, b, d) items, each the value (a + b*i)/d.
 
-    Returns ``(row, scale)``: ``scale`` is the lcm of all denominators and
-    ``row`` is :func:`row_from_items` of the items multiplied by ``scale``.
+    The parts are ints with d > 0.  Returns ``(row, scale)``: ``scale`` is the
+    lcm of all d and ``row`` is :func:`row_from_items` of the items
+    multiplied by ``scale``.
     """
     scale = 1
-    for _, re, im in items:
-        for d in (re.denominator, im.denominator):
-            if d != 1:
-                scale = scale // gcd(scale, d) * d
-    row = row_from_items(
-        [(c, re.numerator * (scale // re.denominator),
-          im.numerator * (scale // im.denominator)) for c, re, im in items])
-    return row, scale
+    for _, _, _, d in items:
+        if d != 1:
+            scale = scale // gcd(scale, d) * d
+    return row_from_items([(c, a * (scale // d), b * (scale // d))
+                           for c, a, b, d in items]), scale
 
 
 def row_axpy(a_re, a_im, v, b_re, b_im, p):
@@ -182,50 +180,63 @@ def rank(rows):
     return n
 
 
-def _gauss_div(num_re, num_im, den_re, den_im):
-    """Exact division of ℚ(i) by a Gaussian integer (den != 0)."""
-    norm = den_re * den_re + den_im * den_im
-    re = (num_re * den_re + num_im * den_im) / Fraction(norm)
-    im = (num_im * den_re - num_re * den_im) / Fraction(norm)
-    return re, im
-
-
 def nullspace(rows, ncols):
     """Canonical kernel basis of the system ``rows · x = 0``.
 
-    Returns ``(free_cols, basis)`` where ``basis[t]`` is a dict
-    ``col -> (Fraction re, Fraction im)`` with ``basis[t][free_cols[t]] == 1``.
-    Pivot columns are the lexicographically smallest possible (an invariant of
-    the row space), so the basis is canonical.
+    Returns ``(free_cols, basis)`` where ``basis[t]`` is an integer row: the
+    kernel vector that is 1 at ``free_cols[t]`` and 0 at every other free
+    column, multiplied by the one positive rational that makes the gcd of
+    all its parts 1.  Its entry at ``free_cols[t]`` is then a positive
+    integer.  Pivot columns are the lexicographically smallest possible (an
+    invariant of the row space), so the basis is canonical.
     """
     ech = Echelon()
     for row in rows:
         ech.insert(row)
-    pivot_cols = sorted(ech.pivots)
+    pivots = ech.pivots
+    pivot_cols = sorted(pivots)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        vec = {f: (Fraction(1), Fraction(0))}
+        # vec is a positive integer multiple of the kernel vector, with the
+        # positive integer vec[f] as its multiplier
+        vec = {f: (1, 0)}
         # solve pivot coordinates bottom-up (rows sorted by decreasing pivot)
-        for p in reversed(pivot_cols):
-            if p > f:
-                continue
-            cols, res, ims = ech.pivots[p]
-            acc_re = Fraction(0)
-            acc_im = Fraction(0)
+        for p in reversed(pivot_cols[:bisect(pivot_cols, f)]):
+            cols, res, ims = pivots[p]
+            acc_re = acc_im = 0
             for idx in range(1, len(cols)):
-                c = cols[idx]
-                entry = vec.get(c)
+                entry = vec.get(cols[idx])
                 if entry is None:
                     continue
                 xr, xi = entry
-                acc_re += res[idx] * xr - ims[idx] * xi
-                acc_im += res[idx] * xi + ims[idx] * xr
-            if acc_re or acc_im:
-                re, im = _gauss_div(-acc_re, -acc_im, res[0], ims[0])
-                vec[p] = (re, im)
-        basis.append(vec)
+                r, i = res[idx], ims[idx]
+                acc_re += r * xr - i * xi
+                acc_im += r * xi + i * xr
+            if not (acc_re or acc_im):
+                continue
+            # x_p = -acc / lead = -acc * conj(lead) / norm(lead): cancel the
+            # numerator against the norm and scale vec by what is left.  The
+            # new entry is coprime to that factor, and vec[f] is the product
+            # of all factors, so a prime dividing every part of vec would
+            # divide some factor, yet the entry set at the last such factor
+            # escapes it: vec stays primitive and needs no content division.
+            lr, li = res[0], ims[0]
+            num_re = -(acc_re * lr + acc_im * li)
+            num_im = acc_re * li - acc_im * lr
+            n = lr * lr + li * li
+            if n != 1:
+                g = gcd(num_re, num_im, n)
+                num_re //= g
+                num_im //= g
+                n //= g
+                if n != 1:
+                    for c, (xr, xi) in vec.items():
+                        vec[c] = (xr * n, xi * n)
+            vec[p] = (num_re, num_im)
+        cols = sorted(vec)
+        basis.append((cols, [vec[c][0] for c in cols], [vec[c][1] for c in cols]))
     return free_cols, basis
 
 
@@ -248,8 +259,9 @@ def select_independent(base_rows, cand_rows):
 def solve(columns, rhs):
     """Solve ``sum_c y_c * columns[c] = rhs`` exactly over ℚ(i).
 
-    ``columns`` and ``rhs`` are sparse rows (coordinate vectors).  Returns a
-    list of ``(Fraction re, Fraction im)`` per column, or None if unsolvable.
+    ``columns`` and ``rhs`` are sparse rows (coordinate vectors).  Returns
+    ``(row, den)`` with ``y_c = row[c] / den`` for an integer row over the
+    column indices and an integer ``den > 0``, or None if unsolvable.
     """
     ncols = len(columns)
     # equations indexed by coordinates: transpose the columns
@@ -262,14 +274,10 @@ def solve(columns, rhs):
         by_coord.setdefault(rc[idx], []).append((ncols, -rr[idx], -ri[idx]))
     rows = [row_from_items(items) for _, items in sorted(by_coord.items())]
     free_cols, basis = nullspace(rows, ncols + 1)
-    for f, vec in zip(free_cols, basis):
-        if f == ncols:
-            out = []
-            for c in range(ncols):
-                out.append(vec.get(c, (Fraction(0), Fraction(0))))
-            return out
-    if not rc:  # zero rhs: trivial solution
-        return [(Fraction(0), Fraction(0))] * ncols
+    if free_cols and free_cols[-1] == ncols:
+        # the rhs column is the last free column and the last entry of its row
+        cols, res, ims = basis[-1]
+        return (cols[:-1], res[:-1], ims[:-1]), res[-1]
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -49,6 +50,72 @@ def test_gaussrat_inverse_and_conjugate(a):
     if a:
         assert a * a.inv() == GaussRat(1)
         assert (a * a.conj()).im == 0
+
+
+mixed_fracs = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30),
+)
+pairs = st.tuples(mixed_fracs, mixed_fracs)
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _parts(g):
+    return (g.re, g.im)
+
+
+@given(pairs, pairs)
+def test_gaussrat_matches_a_fraction_pair_reference(x, y):
+    # the reference is Q(i) as a pair of Fractions
+    gx, gy = GaussRat(*x), GaussRat(*y)
+    assert _parts(gx) == x and _parts(gy) == y
+    assert type(gx.re) is Fraction and type(gx.im) is Fraction
+    assert _parts(gx + gy) == (x[0] + y[0], x[1] + y[1])
+    assert _parts(gx - gy) == (x[0] - y[0], x[1] - y[1])
+    assert _parts(gx * gy) == _ref_mul(x, y)
+    assert _parts(-gx) == (-x[0], -x[1])
+    assert _parts(gx.conj()) == (x[0], -x[1])
+    if y != (0, 0):
+        assert _parts(gx / gy) == _ref_div(x, y)
+        assert _parts(gy.inv()) == _ref_div((Fraction(1), Fraction(0)), y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+        with pytest.raises(ZeroDivisionError):
+            gy.inv()
+    # equal values are equal objects with equal hashes, whatever the route
+    same = (gx * gy) / gy if y != (0, 0) else gx + gy - gy
+    assert same == gx and hash(same) == hash(gx)
+    assert (gx == gy) == (x == y)
+    assert hash(gx) == hash(x)
+    assert bool(gx) == (x != (0, 0))
+    if x[1] == 0:
+        assert gx == x[0] and hash(gx) == hash((x[0], 0))
+
+
+@given(pairs)
+def test_gaussrat_triple_is_in_lowest_terms(x):
+    g = GaussRat(*x)
+    for z in (g, g + g, g * g, -g, g.conj()):
+        assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+        assert (Fraction(z.a, z.d), Fraction(z.b, z.d)) == _parts(z)
+
+
+def test_non_exact_parts_raise_polyerror():
+    for bad in (0.5, 1.0, 1j, "1", None):
+        for call in (lambda: GaussRat(bad), lambda: GaussRat(1, bad),
+                     lambda: Poly.const(bad)):
+            with pytest.raises(PolyError):
+                call()
 
 
 def _poly_from_entries(entries):

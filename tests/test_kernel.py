@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,19 +14,24 @@ from mfcat.homcat import _System
 
 
 def _systems():
-    """Raw sparse rows from genuine Hom systems (realistic structure)."""
+    """Raw sparse rows from genuine Hom systems (realistic structure).
+
+    The last three have boundary rows, which the solve and select tests use.
+    """
     out = []
     for t, k, kp, n in (("A3", 1, 2, 0), ("D4", 1, 3, 1), ("D5", 3, 3, 0),
-                        ("E6", 2, 5, 1)):
+                        ("E6", 2, 5, 1), ("A3", 2, 2, 2), ("D4", 1, 2, 2),
+                        ("E6", 2, 5, 3)):
         cat = get_catalog(t)
         out.append(_System(cat.object(k, 0), cat.object(kp, n)))
     return out
 
 
 def _dot(row, vec):
-    """Exact <row, vec> over Q(i); vec maps col -> (Fraction, Fraction)."""
-    re = Fraction(0)
-    im = Fraction(0)
+    """Exact <row, vec> over Z[i]; vec is an integer row."""
+    vec = {c: (re, im) for c, re, im in zip(*vec)}
+    re = 0
+    im = 0
     cols, res, ims = row
     for idx in range(len(cols)):
         v = vec.get(cols[idx])
@@ -50,9 +55,16 @@ parts = st.one_of(
 )
 
 
+def _gauss_item(c, re, im):
+    """(col, re, im) with Fraction/int parts -> (col, a, b, d) in lowest terms."""
+    re, im = Fraction(re), Fraction(im)
+    d = lcm(re.denominator, im.denominator)
+    return c, int(re * d), int(im * d), d
+
+
 @given(st.lists(st.tuples(st.integers(0, 6), parts, parts), max_size=12))
 def test_row_from_fractions_clears_by_the_lcm_of_the_denominators(items):
-    row, scale = pyk.row_from_fractions(items)
+    row, scale = pyk.row_from_fractions([_gauss_item(*it) for it in items])
     assert scale == lcm(*(Fraction(x).denominator
                           for _, re, im in items for x in (re, im)))
     want = {}
@@ -75,6 +87,75 @@ def test_nullspace_vectors_annihilate_the_rows():
         for vec in basis:
             for row in rows:
                 assert _dot(row, vec) == (0, 0)
+
+
+def _reference_nullspace(rows, ncols):
+    """Kernel basis by back substitution in Fractions, cleared to int rows.
+
+    Each vector is 1 at its free column; the cleared row is that vector times
+    the lcm of the denominators of its parts.
+    """
+    ech = pyk.Echelon()
+    for row in rows:
+        ech.insert(row)
+    pivot_cols = sorted(ech.pivots)
+    out = []
+    for f in range(ncols):
+        if f in ech.pivots:
+            continue
+        vec = {f: (Fraction(1), Fraction(0))}
+        for p in reversed(pivot_cols):
+            if p > f:
+                continue
+            cols, res, ims = ech.pivots[p]
+            acc_re = acc_im = Fraction(0)
+            for c, r, i in zip(cols[1:], res[1:], ims[1:]):
+                if c in vec:
+                    xr, xi = vec[c]
+                    acc_re += r * xr - i * xi
+                    acc_im += r * xi + i * xr
+            if acc_re or acc_im:
+                lr, li = res[0], ims[0]
+                n = lr * lr + li * li
+                vec[p] = (-(acc_re * lr + acc_im * li) / n,
+                          (acc_re * li - acc_im * lr) / n)
+        scale = lcm(*(x.denominator for v in vec.values() for x in v))
+        cols = sorted(vec)
+        out.append((cols, [int(vec[c][0] * scale) for c in cols],
+                    [int(vec[c][1] * scale) for c in cols]))
+    return out
+
+
+def _assert_canonical_basis(rows, ncols):
+    free_cols, basis = pyk.nullspace(rows, ncols)
+    assert basis == _reference_nullspace(rows, ncols)
+    for f, (cols, res, ims) in zip(free_cols, basis):
+        assert gcd(*res, *ims) == 1
+        entry = dict(zip(cols, zip(res, ims)))[f]
+        assert entry[0] > 0 and entry[1] == 0
+        for row in rows:
+            assert _dot(row, (cols, res, ims)) == (0, 0)
+
+
+def test_nullspace_rows_are_canonical_and_match_the_fraction_reference():
+    for sys_ in _systems():
+        _assert_canonical_basis(sys_.cocycle_rows, sys_.nvars)
+
+
+gauss_ints = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.tuples(st.integers(0, n - 1), gauss_ints),
+                      max_size=n), max_size=n))))
+def test_nullspace_of_random_gaussian_systems_matches_the_reference(system):
+    # non-unit pivot leads such as 2 or 1+i make the back substitution
+    # scale by their norms; the reference divides instead
+    ncols, raw = system
+    rows = [pyk.row_from_items([(c, re, im) for c, (re, im) in items])
+            for items in raw]
+    _assert_canonical_basis(rows, ncols)
 
 
 def test_select_independent_extends_a_basis():
@@ -105,6 +186,11 @@ def test_solve_reproduces_the_right_hand_side():
         rhs = pyk.row_from_items(items)
         sol = pyk.solve(cols, rhs)
         assert sol is not None
+        (scols, sres, sims), den = sol
+        assert den > 0
+        sol = [(Fraction(0), Fraction(0))] * len(cols)
+        for c, re, im in zip(scols, sres, sims):
+            sol[c] = (Fraction(re, den), Fraction(im, den))
         # substitute back: sum_c sol_c * cols[c] must equal rhs exactly
         acc = {}
         for (re, im), (cc, cr, ci) in zip(sol, cols):

@@ -233,7 +233,8 @@ one = ((Poly.const(1),),)
 for name, call in (
         ("mat_mul", lambda: mat_mul(one, ((Poly.const(2),), (Poly.const(3),)))),
         ("mat_block", lambda: mat_block([[one, one + one]])),
-        ("GaussRat", lambda: GaussRat(GaussRat(1), 5))):
+        ("GaussRat", lambda: GaussRat(GaussRat(1), 5)),
+        ("GaussRat(0.5)", lambda: GaussRat(0.5))):
     try:
         call()
     except PolyError:
@@ -250,4 +251,5 @@ def test_shape_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        "mat_mul rejected", "mat_block rejected", "GaussRat rejected"]
+        "mat_mul rejected", "mat_block rejected", "GaussRat rejected",
+        "GaussRat(0.5) rejected"]
