@@ -242,20 +242,20 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Poly.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, GaussRat, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Poly.const(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, GaussRat, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, ZERO) + c
@@ -277,13 +277,13 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, GaussRat, Fraction)):
+                return NotImplemented
             c = GaussRat(other) if not isinstance(other, GaussRat) else other
             if not c:
                 return Poly()
             return Poly({e: co * c for e, co in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -68,6 +68,11 @@ class _System:
     Variables enumerate the admissible monomials of every entry of the block
     pair (phi0, phi1); the cocycle equations and the boundary generators are
     assembled monomial by monomial and handed to the kernel as sparse rows.
+    Only the phi-block E0 = dst.phi*phi1 - phi0*src.phi is assembled: as
+    dst.psi*dst.phi = src.phi*src.psi = f*1, dst.psi*E0*src.psi = -f*E1 for
+    the psi-block E1 = dst.psi*phi0 - phi1*src.psi, and k[x,y,z] is a domain,
+    E0 = 0 forces E1 = 0.  This needs src and dst to factor one f, as does
+    dim = nvars - rank Z - rank B (boundaries are cocycles only then).
 
     Assembly runs on Python ints only.  The coefficients of the four blocks
     (dst.phi, dst.psi, src.phi, src.psi) are multiplied by one common
@@ -81,8 +86,8 @@ class _System:
     """
 
     def __init__(self, src, dst):
-        if src.W != dst.W:
-            raise PolyError("morphism between different weight systems")
+        if src.W != dst.W or src.f != dst.f:
+            raise PolyError("morphism between different potentials or weights")
         self.src = src
         self.dst = dst
         W = src.W
@@ -104,15 +109,13 @@ class _System:
             return weighted_monomials(a, b, c, t // step)
 
         self.var_keys = []
-        self.var_index = {}
-        entry = {}  # (blk, i, j) -> {mon: variable index}
+        self.entry = entry = {}  # (blk, i, j) -> {mon: variable index}
         for blk, drow, dcol in ((0, sd, ss), (1, sbd, sbs)):
             for i in range(rd):
                 for j in range(rs):
                     mons = entry[blk, i, j] = {}
                     for mon in basis(drow[i] - dcol[j]):
-                        vidx = mons[mon] = len(self.var_keys)
-                        self.var_index[(blk, i, j, mon)] = vidx
+                        mons[mon] = len(self.var_keys)
                         self.var_keys.append((blk, i, j, mon))
         self.nvars = len(self.var_keys)
         if not self.nvars:
@@ -133,22 +136,19 @@ class _System:
         sphi = _term_table(src.phi, L, False)
         spsi = _term_table(src.psi, L, False)
 
-        # Cocycle equations: dst.phi*phi1 = phi0*src.phi (block 0) and
-        # dst.psi*phi0 = phi1*src.psi (block 1), one equation per matrix
-        # entry per monomial.  A variable meets each equation through at most
-        # one term and variables are visited in index order, so every row
-        # comes out with strictly increasing columns and no zero entry.
+        # One row per entry and monomial of E0.  A variable meets a row in at
+        # most one term and variables come in index order, so every row has
+        # strictly increasing columns and no zero entry.
         eqs = defaultdict(list)
         for vidx, (blk, i, j, (m0, m1, m2)) in enumerate(self.var_keys):
-            left, right = (dphi, spsi) if blk else (dpsi, sphi)
-            for k, terms in left.get(i, ()):
-                for (e0, e1, e2), re, im in terms:
-                    mon = (m0 + e0, m1 + e1, m2 + e2)
-                    eqs[1 - blk, k, j, mon].append((vidx, re, im))
-            for k, terms in right.get(j, ()):
-                for (e0, e1, e2), re, im in terms:
-                    mon = (m0 + e0, m1 + e1, m2 + e2)
-                    eqs[blk, i, k, mon].append((vidx, -re, -im))
+            if blk:
+                for k, terms in dphi.get(i, ()):
+                    for (e0, e1, e2), re, im in terms:
+                        eqs[k, j, m0 + e0, m1 + e1, m2 + e2].append((vidx, re, im))
+            else:
+                for k, terms in sphi.get(j, ()):
+                    for (e0, e1, e2), re, im in terms:
+                        eqs[i, k, m0 + e0, m1 + e1, m2 + e2].append((vidx, -re, -im))
 
         self.cocycle_rows = [tuple(map(list, zip(*eqs[key])))
                              for key in sorted(eqs)]
@@ -206,7 +206,7 @@ class _System:
             for i, row in enumerate(mat):
                 for j, p in enumerate(row):
                     for mon, c in p.terms.items():
-                        vidx = self.var_index.get((blk, i, j, mon))
+                        vidx = self.entry.get((blk, i, j), {}).get(mon)
                         if vidx is None:
                             raise PolyError(
                                 "morphism entry (%d,%d,%d) has a monomial of "

@@ -326,7 +326,7 @@ def rank_modp(rows):
                     del d[cc]
         if d:
             lead = min(d)
-            inv = pow(d[lead], p - 2, p)
+            inv = pow(d[lead], -1, p)
             pivots[lead] = {cc: vv * inv % p for cc, vv in d.items()}
             insort(order, lead)
             rk += 1

@@ -35,11 +35,16 @@ from mfcat.homcat import (
 from mfcat.mf import (
     GradedMF,
     Morphism,
+    cone,
     direct_sum,
     identity_morphism,
     mat_mul,
     permute_slots,
+    serre,
+    serre_inverse,
+    shift_T,
     tau,
+    verify_mf,
     verify_morphism,
 )
 from mfcat.tables import golden_multiset, serre_vertex
@@ -83,19 +88,25 @@ def _diag(entries):
                        for j in range(n)) for i in range(n))
 
 
-def test_hom_over_non_integral_coefficients_matches_the_catalog_object():
-    # phi' = P phi Q^-1 and psi' = Q psi P^-1 for constant diagonal P, Q:
-    # an isomorphic object whose blocks carry Fraction and imaginary parts
-    cat = get_catalog("D5")
-    X = cat.object(3, 0)
+def _conjugated(X):
+    """phi' = P phi Q^-1 and psi' = Q psi P^-1 for constant diagonal P, Q.
+
+    An isomorphic object whose blocks carry Fraction and imaginary parts.
+    """
     units = [GaussRat(Fraction(1, 2)), GaussRat(3), GaussRat(0, 1),
              GaussRat(2, 1)]
     p = [units[i % 4] for i in range(X.r)]
     q = [units[(i + 1) % 4] for i in range(X.r)]
     P, Pinv = _diag(p), _diag([c.inv() for c in p])
     Q, Qinv = _diag(q), _diag([c.inv() for c in q])
-    Xb = GradedMF(X.f, X.W, mat_mul(P, mat_mul(X.phi, Qinv)),
-                  mat_mul(Q, mat_mul(X.psi, Pinv)), X.S)
+    return GradedMF(X.f, X.W, mat_mul(P, mat_mul(X.phi, Qinv)),
+                    mat_mul(Q, mat_mul(X.psi, Pinv)), X.S)
+
+
+def test_hom_over_non_integral_coefficients_matches_the_catalog_object():
+    cat = get_catalog("D5")
+    X = cat.object(3, 0)
+    Xb = _conjugated(X)
     assert any(c.re.denominator > 1 for row in Xb.phi for e in row
                for c in e.terms.values())
     assert any(c.im for row in Xb.psi for e in row for c in e.terms.values())
@@ -112,6 +123,48 @@ def test_hom_over_non_integral_coefficients_matches_the_catalog_object():
     E = hom_space(Xb, Xb)
     assert E.dim == hom_space(X, X).dim
     assert E.coordinates(identity_morphism(Xb))[0]
+
+
+def test_one_cocycle_block_gives_the_full_kernel():
+    # Hom systems carry only the phi-block of the cocycle equations;
+    # verify_morphism checks both blocks by exact products, so every witness
+    # passing it shows that the psi-block held without being imposed
+    cat = get_catalog("D5")
+    X = cat.object(3, 0)
+    ar = hom_space(serre_inverse(X), X)
+    assert ar.dim == 1
+    objects = [
+        serre(cat.object(2, 0)),  # swapped, negated blocks
+        shift_T(cat.object(4, 1)),
+        cone(ar.basis[0]),  # the middle of the AR triangle, unreduced
+        direct_sum(cat.object(1, 0), cat.object(3, 1)),
+        _conjugated(X),  # Fraction and imaginary coefficients
+    ]
+    others = [cat.object(k, n) for k in cat.diagram.vertices
+              for n in range(-1, 3)]
+    total = 0
+    for A in objects:
+        assert verify_mf(A) == []
+        for B in objects + others:
+            for src, dst in ((A, B), (B, A)):
+                H = hom_space(src, dst)
+                assert H.dim == hom_dim(src, dst) == len(H.basis)
+                for m in H.basis:
+                    assert verify_morphism(m) == []
+                total += H.dim
+    assert total >= 100
+
+
+def test_hom_between_factorizations_of_different_f_is_rejected():
+    X = get_catalog("A2").object(1, 0)
+    # phi * (2 psi) = 2f: a factorization of another potential, same weights
+    Y = GradedMF(X.f * 2, X.W, X.phi, mat_mul(X.psi, _diag([2] * X.r)), X.S)
+    assert verify_mf(Y) == []
+    for src, dst in ((X, Y), (Y, X)):
+        with pytest.raises(PolyError):
+            hom_dim(src, dst)
+        with pytest.raises(PolyError):
+            hom_space(src, dst)
 
 
 def test_wrong_parity_classes_are_empty():

@@ -220,3 +220,26 @@ def test_modp_rank_is_a_lower_bound_and_usually_exact():
             # the engine's certificate route relies on these being equal on
             # catalog systems at the shipped prime
             assert modp == exact
+
+
+# Gaussian integers that vanish mod p: multiples of p, and a + b*i with
+# a + b*MODP_I = 0 mod p
+modp_zeros = st.one_of(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: (t[0] * pyk.MODP, t[1] * pyk.MODP)),
+    st.sampled_from([(pyk.MODP_I, -1), (-pyk.MODP_I, 1), (1, pyk.MODP_I)]),
+)
+# a small entry plus a zero mod p, so rows can coincide mod p only
+modp_entries = st.one_of(
+    gauss_ints, modp_zeros,
+    st.tuples(gauss_ints, modp_zeros).map(
+        lambda t: (t[0][0] + t[1][0], t[0][1] + t[1][1])))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(st.integers(0, n - 1), modp_entries), max_size=n),
+    max_size=n + 2)))
+def test_modp_rank_never_exceeds_the_exact_rank(raw):
+    rows = [pyk.row_from_items([(c, re, im) for c, (re, im) in items])
+            for items in raw]
+    assert pyk.rank_modp(rows) <= pyk.rank(rows)

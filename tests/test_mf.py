@@ -227,14 +227,20 @@ def test_shape_errors_raise_polyerror():
 
 
 _OPTIMIZED_PROBE = """
+from mfcat.catalog import get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
-from mfcat.mf import mat_block, mat_mul
+from mfcat.homcat import hom_dim
+from mfcat.mf import GradedMF, mat_block, mat_mul
 one = ((Poly.const(1),),)
+X = get_catalog("A2").object(1, 0)
+twice = GradedMF(X.f * 2, X.W, X.phi, [[p * 2 for p in row] for row in X.psi],
+                 X.S)
 for name, call in (
         ("mat_mul", lambda: mat_mul(one, ((Poly.const(2),), (Poly.const(3),)))),
         ("mat_block", lambda: mat_block([[one, one + one]])),
         ("GaussRat", lambda: GaussRat(GaussRat(1), 5)),
-        ("GaussRat(0.5)", lambda: GaussRat(0.5))):
+        ("GaussRat(0.5)", lambda: GaussRat(0.5)),
+        ("hom_dim", lambda: hom_dim(X, twice))):
     try:
         call()
     except PolyError:
@@ -252,4 +258,4 @@ def test_shape_checks_survive_python_O():
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
         "mat_mul rejected", "mat_block rejected", "GaussRat rejected",
-        "GaussRat(0.5) rejected"]
+        "GaussRat(0.5) rejected", "hom_dim rejected"]
