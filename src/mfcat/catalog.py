@@ -486,6 +486,13 @@ class Catalog:
     def phase(self, k, n):
         return Fraction(2 * n + self.sigma(k), self.h)
 
+    def twist(self, k, c):
+        """The n with 2n + sigma(k) = c, i.e. phase(k, n) = c/h; None if none."""
+        n2 = c - self.sigma(k)
+        if n2 % 2:
+            return None
+        return n2 // 2
+
     def q_vectors(self, k):
         self._check_vertex(k)
         return _q_data(self.letter, self.l, self.b, k)

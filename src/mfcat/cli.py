@@ -319,7 +319,7 @@ def ar(type_str, b, k_only, threads):
 @click.option("--window", default="0..1", help="phase window lo..hi (half-open].")
 @click.option("--check", "run_check", is_flag=True,
               help="verify the stability axioms on (0,2].")
-@click.option("--trials", type=int, default=20,
+@click.option("--trials", type=click.IntRange(min=0), default=20,
               help="random direct sums for the filtration axiom.")
 @click.option("--seed", type=int, default=0)
 @_threads_option

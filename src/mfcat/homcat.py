@@ -25,7 +25,6 @@ from .mf import (
     mat_identity,
     mat_is_zero,
     mat_mul,
-    mat_zero,
     reduce,
     serre,
     serre_inverse,
@@ -569,67 +568,43 @@ def lift_idempotent(g, e):
     raise ArithmeticError("idempotent lift did not converge")
 
 
-def split_idempotent(g, e):
-    """Split a homotopy idempotent: returns (summand, incl, proj, strict e)."""
-    ehat = lift_idempotent(g, e)
-    Y, incl, proj = _strict_split(g, ehat)
-    return Y, incl, proj, ehat
-
-
 # ---------------------------------------------------------------------------
 # identification against the catalog
 
 
-def _half_multisets(g):
-    r = g.r
-    return sorted(g.S[:r]), sorted(g.S[r:])
+def _retraction(cat, g, k, n):
+    """A retraction of g onto M(k, n): (M, End M, incl, proj, gamma) or None.
 
-
-def _pairing_scalar(cand_end, incl, proj):
-    """Coordinate of [proj o incl] against id in the 1-dim End(candidate)."""
-    t = compose(proj, incl)
-    gamma = cand_end.coordinates(t)[0]
-    return gamma
+    gamma, the coordinate of proj o incl in the one-dimensional End(M), is
+    the first nonzero one over the witness bases of Hom(M, g) and Hom(g, M).
+    """
+    M = cat.object(k, n)
+    P = hom_space(g, M)
+    if P.dim == 0:
+        return None
+    Iw = hom_space(M, g)
+    if Iw.dim == 0:
+        return None
+    EM = hom_space(M, M)
+    for incl in Iw.basis:
+        for proj in P.basis:
+            gamma = EM.coordinates(compose(proj, incl))[0]
+            if gamma:
+                return M, EM, incl, proj, gamma
+    return None
 
 
 def identify_object(cat, g):
     """Identify g with a catalog object: returns (k, n) or None.
 
-    The candidate must match the reduced S-multisets exactly; a nonzero
-    Hom pairing in both directions between same-size objects certifies an
-    isomorphism (a retract of equal size is an isomorphism).
+    The candidates are the classes of g's size whose slot multisets embed
+    into, hence equal, those of reduced g; a retraction onto one of them
+    certifies an isomorphism (a retract of equal size is an isomorphism).
     """
     g0 = reduce(g)
-    if g0.r == 0:
-        return None
-    s0, s1 = _half_multisets(g0)
-    h = cat.h
-    for k in cat.diagram.vertices:
-        if 2 * cat.nu(k) != g0.r:
-            continue
-        slots0, slots1 = cat.slot_values(k)
-        # the signed offsets sum to zero, so the mean of a half is the phase
-        phase = Fraction(sum(s0), g0.r)
-        n2 = phase * h - cat.sigma(k)
-        if n2.denominator != 1 or n2.numerator % 2:
-            continue
-        n = n2.numerator // 2
-        if sorted(q + phase for q in slots0) != s0:
-            continue
-        if sorted(q + phase for q in slots1) != s1:
-            continue
-        M = cat.object(k, n)
-        P = hom_space(g0, M)
-        if P.dim == 0:
-            continue
-        Iw = hom_space(M, g0)
-        if Iw.dim == 0:
-            continue
-        EM = hom_space(M, M)
-        for incl in Iw.basis:
-            for proj in P.basis:
-                if _pairing_scalar(EM, incl, proj):
-                    return (k, n)
+    for _, k, n in _candidate_classes(cat, g0):
+        if 2 * cat.nu(k) == g0.r and _retraction(cat, g0, k, n):
+            return (k, n)
     return None
 
 
@@ -678,10 +653,10 @@ def class_hom_dim(cat, k, kprime, c):
     so the dimension is a class function of (k, k', c); c values of the
     wrong parity admit no object pairs and count as zero.
     """
-    sig, sigp = cat.sigma(k), cat.sigma(kprime)
-    if (c - sigp + sig) % 2:
+    n_prime = cat.twist(kprime, c + cat.sigma(k))
+    if n_prime is None:
         return 0
-    return _class_dim(cat, k, kprime, (c - sigp + sig) // 2)
+    return _class_dim(cat, k, kprime, n_prime)
 
 
 @_per_catalog
@@ -715,10 +690,10 @@ def serre_rhs_dim(cat, k_y, k_x, cprime):
     integral n exists.  The Serre image is used as a raw block pair, not
     identified against the catalog.
     """
-    n2 = cprime - cat.h + 2 - cat.sigma(k_x) + cat.sigma(k_y)
-    if n2 % 2:
+    n = cat.twist(k_x, cprime - cat.h + 2 + cat.sigma(k_y))
+    if n is None:
         return 0
-    return _serre_rhs_dim(cat, k_y, k_x, n2 // 2)
+    return _serre_rhs_dim(cat, k_y, k_x, n)
 
 
 @_per_catalog
@@ -788,17 +763,16 @@ def ar_triangle_check(cat, k):
     mids = []
     # the middle receives the irreducible maps out of X, one phase step up
     for i in nbrs:
-        n_i2 = sig - cat.sigma(i) + 1
-        if n_i2 % 2:
+        n_i = cat.twist(i, sig + 1)
+        if n_i is None:
             viol.append("neighbor %d not on the opposite parity class" % i)
             return viol
-        n_i = n_i2 // 2
         Mi = cat.object(i, n_i)
         mids.append(Mi)
         expected0.extend(Mi.s_row)
         expected1.extend(Mi.sbar_row)
-    got0, got1 = _half_multisets(mid) if mid.r else ([], [])
-    if got0 != sorted(expected0) or got1 != sorted(expected1):
+    if (sorted(mid.s_row) != sorted(expected0)
+            or sorted(mid.sbar_row) != sorted(expected1)):
         viol.append("cone slot multiset differs from the neighbor sum at k=%d"
                     % k)
     e_dim = hom_space(mid, mid).dim if mid.r else 0
@@ -817,37 +791,26 @@ def ar_triangle_check(cat, k):
 
 
 def _candidate_classes(cat, work):
-    """(phase, k, n) candidates whose slot multisets embed into work's."""
+    """(phase, k, n) candidates whose slot multisets embed into work's.
+
+    An embedded candidate puts its top first-half slot on one of work's
+    first-half slots, so one phase per distinct slot value is tried; one
+    early-exit count test covers both halves.  Sorted by (-phase, k).
+    """
     s0 = Counter(work.s_row)
     s1 = Counter(work.sbar_row)
-    smin = min(work.S)
-    smax = max(work.S)
-    h = cat.h
     cands = []
     for k in cat.diagram.vertices:
         slots0, slots1 = cat.slot_values(k)
-        sig = cat.sigma(k)
-        # phase = (2n + sigma)/h must fit between the extreme slot values
-        lo = (smin - max(slots0)) * h
-        hi = (smax - min(slots0)) * h
-        n_min = math.ceil((lo - sig) / 2)
-        n_max = math.floor((hi - sig) / 2)
-        for n in range(n_min, n_max + 1):
-            phase = Fraction(2 * n + sig, h)
-            ok = True
-            cnt0 = Counter(q + phase for q in slots0)
-            for v, c in cnt0.items():
-                if s0[v] < c:
-                    ok = False
-                    break
-            if not ok:
+        halves = ((Counter(slots0), s0), (Counter(slots1), s1))
+        top = max(slots0)
+        for v in s0:
+            phase = v - top
+            if not all(have[q + phase] >= c
+                       for want, have in halves for q, c in want.items()):
                 continue
-            cnt1 = Counter(q + phase for q in slots1)
-            for v, c in cnt1.items():
-                if s1[v] < c:
-                    ok = False
-                    break
-            if ok:
+            n = cat.twist(k, phase * cat.h)
+            if n is not None:
                 cands.append((phase, k, n))
     cands.sort(key=lambda t: (-t[0], t[1]))
     return cands
@@ -855,27 +818,17 @@ def _candidate_classes(cat, work):
 
 def _find_summand(cat, work):
     """Find one catalog summand of work: (k, n, complement) or None."""
-    for phase, k, n in _candidate_classes(cat, work):
-        M = cat.object(k, n)
-        P = hom_space(work, M)
-        if P.dim == 0:
+    for _, k, n in _candidate_classes(cat, work):
+        found = _retraction(cat, work, k, n)
+        if found is None:
             continue
-        Iw = hom_space(M, work)
-        if Iw.dim == 0:
-            continue
-        EM = hom_space(M, M)
+        M, EM, incl, proj, gamma = found
         id_coord = EM.coordinates(identity_morphism(M))[0]
-        for incl in Iw.basis:
-            for proj in P.basis:
-                gamma = _pairing_scalar(EM, incl, proj)
-                if not gamma:
-                    continue
-                retr = morphism_scale(id_coord / gamma, proj)
-                e = compose(incl, retr)
-                _, _, _, ehat = split_idempotent(work, e)
-                comp = morphism_sub(identity_morphism(work), ehat)
-                rest, _, _ = _strict_split(work, comp)
-                return k, n, rest
+        e = compose(incl, morphism_scale(id_coord / gamma, proj))
+        ehat = lift_idempotent(work, e)
+        _strict_split(work, ehat)  # the summand itself is checked, then dropped
+        rest, _, _ = _strict_split(work, morphism_sub(identity_morphism(work), ehat))
+        return k, n, rest
     return None
 
 
@@ -898,5 +851,5 @@ def decompose(cat, g):
         guard -= 1
         if guard <= 0:
             raise ArithmeticError("decomposition did not terminate")
-    out.sort(key=lambda t: (-Fraction(2 * t[1] + cat.sigma(t[0]), cat.h), t[0]))
+    out.sort(key=lambda t: (-cat.phase(*t), t[0]))
     return out

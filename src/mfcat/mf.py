@@ -23,7 +23,6 @@ JSON form used by the command line.
 from fractions import Fraction
 
 from mfcat.gring import (
-    GaussRat,
     Poly,
     PolyError,
     WeightSystem,
@@ -163,9 +162,6 @@ class GradedMF:
     @property
     def sbar_row(self):
         return self.S[self.r :]
-
-    def is_zero_object(self):
-        return self.r == 0
 
     def __eq__(self, other):
         if not isinstance(other, GradedMF):

@@ -204,10 +204,18 @@ def check_stability_axioms(type_str, b=None, window=(0, 2), trials=100,
         phase, exhaustively over window class pairs; (4) random direct
         sums filter with strictly decreasing phases and the original
         factor multiset.
+
+    An empty window, a negative trial count or a summand bound below one
+    raises PolyError.
     """
+    if trials < 0 or max_summands < 1:
+        raise PolyError("need trials >= 0 and max_summands >= 1, got %r and %r"
+                        % (trials, max_summands))
     cat = get_catalog(type_str, b)
     lo, hi = Fraction(window[0]), Fraction(window[1])
     objs = cat.objects_in_window(lo, hi)
+    if not objs:
+        raise PolyError("window (%s, %s] holds no catalog object" % (lo, hi))
     bad = []
 
     for phase, k, n in objs:
@@ -314,10 +322,9 @@ def exceptional_collection(type_str, b, quiver):
                 if v in n_of:
                     continue
                 sign = 1 if (u, v) in arrows else -1
-                num = 2 * n_of[u] + cat.sigma(u) + sign - cat.sigma(v)
-                if num % 2:
+                n_of[v] = cat.twist(v, 2 * n_of[u] + cat.sigma(u) + sign)
+                if n_of[v] is None:
                     raise PolyError("phase propagation lost integrality")
-                n_of[v] = num // 2
                 nxt.append(v)
         frontier = nxt
     n_vector = tuple(n_of[k] for k in dia.vertices)

@@ -94,6 +94,14 @@ def test_phase_and_shift_bookkeeping():
     g0, g9 = cat.object(7, 0), cat.object(7, 9)
     assert [s + 1 for s in g0.S] == list(g9.S)
     assert g0.phi == g9.phi and g0.psi == g9.psi
+    # twist inverts 2n + sigma, also on exact phase * h values
+    for k in cat.diagram.vertices:
+        for n in (-3, 0, 9):
+            c = 2 * n + cat.sigma(k)
+            assert cat.twist(k, c) == n
+            assert cat.twist(k, c + 1) is None
+            assert cat.twist(k, cat.phase(k, n) * cat.h) == n
+    assert cat.twist(7, Fraction(1, 5)) is None
 
 
 def test_objects_in_window_enumeration():

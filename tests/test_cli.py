@@ -72,6 +72,8 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert _run("hom", "--type", "A3", "--from", "0", "--to", "1").exit_code == 3
     assert _run("stability", "--type", "A2", "--window", "zz").exit_code == 3
     assert _run("stability", "--type", "A2", "--window", "1..1").exit_code == 3
+    res = _run("stability", "--type", "A2", "--check", "--trials", "-2")
+    assert res.exit_code == 2 and "stability axioms" not in res.output
     missing = tmp_path / "no" / "dir" / "out.json"
     assert _run("export", "--type", "A2", "--k", "1",
                 "--out", str(missing)).exit_code == 4
@@ -148,3 +150,7 @@ def test_threads_flag_is_accepted_and_ignored():
              "--threads", "8")
     assert b.exit_code == 0
     assert a.output == b.output
+    # export and catalog take no --threads
+    assert _run("export", "--type", "A3", "--k", "1",
+                "--threads", "8").exit_code == 2
+    assert _run("catalog", "--type", "A3", "--threads", "8").exit_code == 2

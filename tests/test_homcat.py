@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce as _freduce
 
 import pytest
 from hypothesis import given
@@ -13,6 +16,7 @@ from mfcat import homcat
 from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
 from mfcat.homcat import (
+    _candidate_classes,
     _scalar_mul,
     ar_triangle_check,
     check_jacobi_annihilation,
@@ -40,6 +44,7 @@ from mfcat.mf import (
     identity_morphism,
     mat_mul,
     permute_slots,
+    reduce,
     serre,
     serre_inverse,
     shift_T,
@@ -351,6 +356,62 @@ def test_identify_object_sees_through_permutation_and_shift():
     assert identify_object(cat, tau(cat.object(1, 0), 5)) == (1, 5)
 
 
+def test_identify_object_rejects_sums_off_lattice_shifts_and_zero():
+    cat = get_catalog("D5")
+    X = cat.object(3, 1)
+    assert identify_object(cat, X) == (3, 1)
+    assert identify_object(cat, direct_sum(X, cat.object(1, 0))) is None
+    # a sum of two copies has X's slot values, doubled
+    assert identify_object(cat, direct_sum(X, X)) is None
+    assert identify_object(cat, _shifted(X, Fraction(1, 7))) is None
+    zero = cone(identity_morphism(X))
+    assert reduce(zero).r == 0
+    assert identify_object(cat, zero) is None
+
+
+def _range_scan(cat, work):
+    """Reference candidate scan: every twist between the extreme slots."""
+    s0 = Counter(work.s_row)
+    s1 = Counter(work.sbar_row)
+    smin, smax, h = min(work.S), max(work.S), cat.h
+    cands = []
+    for k in cat.diagram.vertices:
+        slots0, slots1 = cat.slot_values(k)
+        sig = cat.sigma(k)
+        lo = (smin - max(slots0)) * h
+        hi = (smax - min(slots0)) * h
+        for n in range(math.ceil((lo - sig) / 2), math.floor((hi - sig) / 2) + 1):
+            phase = Fraction(2 * n + sig, h)
+            if all(s0[q + phase] >= c
+                   for q, c in Counter(slots0).items()) and all(
+                    s1[q + phase] >= c for q, c in Counter(slots1).items()):
+                cands.append((phase, k, n))
+    cands.sort(key=lambda t: (-t[0], t[1]))
+    return cands
+
+
+def test_candidate_scan_matches_the_twist_range_reference():
+    rng = random.Random(8)
+    found = 0
+    for t, b in (("A4", 2), ("A5", 3), ("D4", None), ("D6", None),
+                 ("E6", None), ("E7", None), ("E8", None)):
+        cat = get_catalog(t, b)
+        window = cat.objects_in_window(0, 2)
+        for _ in range(6):
+            picks = [rng.choice(window) for _ in range(rng.randint(1, 4))]
+            g = _freduce(direct_sum, [cat.object(k, n) for _, k, n in picks])
+            for obj in (g, serre(g), shift_T(g), _shifted(g, Fraction(1, 5))):
+                got = _candidate_classes(cat, obj)
+                assert got == _range_scan(cat, obj)
+                found += len(got)
+            # every summand of a sum is a candidate
+            assert {(k, n) for _, k, n in picks} <= {
+                (k, n) for _, k, n in _candidate_classes(cat, g)}
+            # 7 divides none of the Coxeter numbers here
+            assert _candidate_classes(cat, _shifted(g, Fraction(1, 7))) == []
+    assert found
+
+
 def test_indecomposability_detection():
     cat = get_catalog("D5")
     assert is_indecomposable(cat.object(3, 0))
@@ -371,6 +432,13 @@ def test_decompose_round_trips_random_sums():
                 obj = part if obj is None else direct_sum(obj, part)
             got = decompose(cat, obj)
             assert sorted(got) == sorted((k, n) for _, k, n in picks)
+
+
+def test_decompose_rejects_an_off_lattice_object():
+    cat = get_catalog("D5")
+    g = direct_sum(cat.object(1, 0), cat.object(3, 1))
+    with pytest.raises(ArithmeticError):
+        decompose(cat, _shifted(g, Fraction(1, 5)))
 
 
 def test_ar_triangles_on_small_types():

@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from mfcat.catalog import get_catalog
+from mfcat.gring import PolyError
 from mfcat.mf import direct_sum, shift_T
 from mfcat.quiver import path_hom_dims, principal_orientation, random_orientation
 from mfcat.stability import (
@@ -92,6 +94,17 @@ def test_hn_filtration_orders_phases_and_recovers_factors():
 
 def test_stability_axioms_on_a_small_type():
     assert check_stability_axioms("A3", 2, trials=12, seed=5) == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"window": (1, 1)},
+    {"window": (2, 0)},
+    {"max_summands": 0},
+    {"trials": -1},
+])
+def test_stability_axioms_reject_bad_arguments_with_polyerror(kwargs):
+    with pytest.raises(PolyError):
+        check_stability_axioms("A3", 2, **kwargs)
 
 
 def test_every_heart_object_maps_onto_a_projective_cover():
