@@ -484,10 +484,14 @@ class Catalog:
         return self.diagram.sigma(k)
 
     def phase(self, k, n):
-        return Fraction(2 * n + self.sigma(k), self.h)
+        return Fraction(self.coord(k, n), self.h)
+
+    def coord(self, k, n):
+        """2n + sigma(k), the phase of M(k, n) on the h scale."""
+        return 2 * n + self.sigma(k)
 
     def twist(self, k, c):
-        """The n with 2n + sigma(k) = c, i.e. phase(k, n) = c/h; None if none."""
+        """The n with coord(k, n) = c, i.e. phase(k, n) = c/h; None if none."""
         n2 = c - self.sigma(k)
         if n2 % 2:
             return None
@@ -508,7 +512,7 @@ class Catalog:
         return len(self.q_vectors(k)[0])
 
     def _check_vertex(self, k):
-        if not 1 <= k <= self.l:
+        if not isinstance(k, int) or not 1 <= k <= self.l:
             raise PolyError("vertex %r out of range 1..%d" % (k, self.l))
 
     def _label(self, k, n):
@@ -556,6 +560,8 @@ class Catalog:
         return g
 
     def object(self, k, n=0):
+        if not isinstance(n, int):
+            raise PolyError("twist n must be an int, got %r" % (n,))
         base = self._base_objects.get(k)
         if base is None:
             base = self._build_base(k)
@@ -574,8 +580,7 @@ class Catalog:
 
     def objects_in_window(self, lo, hi):
         """(phase, k, n) with lo < phase <= hi, sorted by (phase, k)."""
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo, hi = window_bounds(lo, hi)
         out = []
         for k in self.diagram.vertices:
             sig = self.sigma(k)
@@ -585,6 +590,14 @@ class Catalog:
                 out.append((self.phase(k, n), k, n))
         out.sort()
         return out
+
+
+def window_bounds(lo, hi):
+    """(Fraction(lo), Fraction(hi)); PolyError unless both are rationals."""
+    try:
+        return Fraction(lo), Fraction(hi)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise PolyError("malformed phase window (%r, %r)" % (lo, hi)) from None
 
 
 @lru_cache(maxsize=None)

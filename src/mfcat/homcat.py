@@ -42,6 +42,19 @@ def _clear_row(items):
     return kernel.row_from_fractions([(col, c.a, c.b, c.d) for col, c in items])
 
 
+def _same_potential(a, b):
+    """PolyError unless a and b (objects or a catalog) share W and f."""
+    if a.W != b.W or a.f != b.f:
+        raise PolyError("morphism between different potentials or weights")
+
+
+def _on_catalog(cat, g):
+    """PolyError unless g is a GradedMF of the catalog's potential."""
+    if not isinstance(g, GradedMF):
+        raise PolyError("expected a GradedMF, got %s" % type(g).__name__)
+    _same_potential(cat, g)
+
+
 def _term_table(mat, scale, by_col):
     """mat -> {line: [(other, [(mon, re, im), ...])]}, grouped by row or col.
 
@@ -85,8 +98,7 @@ class _System:
     """
 
     def __init__(self, src, dst):
-        if src.W != dst.W or src.f != dst.f:
-            raise PolyError("morphism between different potentials or weights")
+        _same_potential(src, dst)
         self.src = src
         self.dst = dst
         W = src.W
@@ -267,17 +279,12 @@ def hom_space(src, dst):
 
 
 def hom_dim(src, dst):
-    """dim Hom(src, dst), rank-only (no witnesses).
+    """dim Hom(src, dst) = nvars - rank Z - rank B, from exact ranks over Q(i).
 
-    A full-rank elimination mod p certifies dimension zero exactly (mod-p
-    ranks never exceed the rational ones); otherwise fall back to exact
-    ranks over Q(i).
+    Rank-only: no witness basis is built (see :func:`hom_space`).
     """
     sys = _System(src, dst)
     if not sys.nvars:
-        return 0
-    if (kernel.rank_modp(sys.cocycle_rows) + kernel.rank_modp(sys.boundary_rows)
-            == sys.nvars):
         return 0
     return (sys.nvars - kernel.rank(sys.cocycle_rows)
             - kernel.rank(sys.boundary_rows))
@@ -601,6 +608,7 @@ def identify_object(cat, g):
     into, hence equal, those of reduced g; a retraction onto one of them
     certifies an isomorphism (a retract of equal size is an isomorphism).
     """
+    _on_catalog(cat, g)
     g0 = reduce(g)
     for _, k, n in _candidate_classes(cat, g0):
         if 2 * cat.nu(k) == g0.r and _retraction(cat, g0, k, n):
@@ -710,16 +718,12 @@ def serre_duality_report(cat, lo=0, hi=2):
     one linear system per (k, k', c) class, not per object pair.
     """
     window = cat.objects_in_window(lo, hi)
-    h = cat.h
     viol = []
-    for ph_x, k_x, n_x in window:
-        for ph_y, k_y, n_y in window:
-            c = (ph_y - ph_x) * h
-            if c.denominator != 1:
-                raise ArithmeticError("non-integral phase gap")
-            c = c.numerator
+    for _, k_x, n_x in window:
+        for _, k_y, n_y in window:
+            c = cat.coord(k_y, n_y) - cat.coord(k_x, n_x)
             lhs = class_hom_dim(cat, k_x, k_y, c)
-            rhs = serre_rhs_dim(cat, k_y, k_x, h - 2 - c)
+            rhs = serre_rhs_dim(cat, k_y, k_x, cat.h - 2 - c)
             if lhs != rhs:
                 viol.append(
                     "dim Hom(M^%d_%d, M^%d_%d) = %d but dim Hom(-, S-) = %d"
@@ -839,6 +843,7 @@ def decompose(cat, g):
     (a retract onto an indecomposable is a direct summand) and split off by
     exact idempotents until nothing remains.
     """
+    _on_catalog(cat, g)
     work = reduce(g)
     out = []
     guard = work.r + 1

@@ -282,8 +282,9 @@ def solve(columns, rhs):
 
 
 # A prime p ≡ 1 (mod 4), so that -1 has a square root mod p and Gaussian
-# integers map into GF(p).  Ranks over GF(p) bound ranks over ℚ(i) from
-# below, which turns a full-rank elimination mod p into an exact certificate.
+# integers map into GF(p); ranks over GF(p) bound ranks over ℚ(i) from below.
+# The engine no longer calls rank_modp (hom_dim uses exact ranks only); it
+# stays because the benchmark tracer wraps it by name.
 MODP = 2013265921
 
 

@@ -17,7 +17,7 @@ from functools import reduce as _freduce
 
 import mpmath
 
-from .catalog import get_catalog
+from .catalog import get_catalog, window_bounds
 from .gring import GaussRat, Poly, PolyError
 from .homcat import class_hom_dim, decompose, t_image
 from .mf import GradedMF, Morphism, direct_sum, verify_morphism
@@ -133,6 +133,8 @@ def _const_entry(flag):
 
 def _catalog_for(g):
     """Recover the ADE catalog a graded object belongs to from (W, f)."""
+    if not isinstance(g, GradedMF):
+        raise PolyError("expected a GradedMF, got %s" % type(g).__name__)
     a, b, c, h = g.W.a, g.W.b, g.W.c, g.W.h
     cat = None
     if (a, c) == (1, h - b):
@@ -205,14 +207,18 @@ def check_stability_axioms(type_str, b=None, window=(0, 2), trials=100,
         sums filter with strictly decreasing phases and the original
         factor multiset.
 
-    An empty window, a negative trial count or a summand bound below one
-    raises PolyError.
+    A window that is not an (lo, hi) pair of rationals or holds no object,
+    a trial count that is not an int >= 0, or a summand bound that is not
+    an int >= 1 raises PolyError.
     """
-    if trials < 0 or max_summands < 1:
-        raise PolyError("need trials >= 0 and max_summands >= 1, got %r and %r"
-                        % (trials, max_summands))
+    if not (isinstance(trials, int) and isinstance(max_summands, int)
+            and trials >= 0 and max_summands >= 1):
+        raise PolyError("need ints trials >= 0 and max_summands >= 1, "
+                        "got %r and %r" % (trials, max_summands))
+    if not isinstance(window, (tuple, list)) or len(window) != 2:
+        raise PolyError("window must be a pair (lo, hi), got %r" % (window,))
     cat = get_catalog(type_str, b)
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = window_bounds(*window)
     objs = cat.objects_in_window(lo, hi)
     if not objs:
         raise PolyError("window (%s, %s] holds no catalog object" % (lo, hi))
@@ -243,7 +249,7 @@ def check_stability_axioms(type_str, b=None, window=(0, 2), trials=100,
         for p2, k2, n2 in objs:
             if p1 <= p2:
                 continue
-            c = (2 * n2 + cat.sigma(k2)) - (2 * n1 + cat.sigma(k1))
+            c = cat.coord(k2, n2) - cat.coord(k1, n1)
             key = (k1, k2, c)
             if key in seen:
                 continue
@@ -280,17 +286,16 @@ def projectivity_check(type_str, b=None):
     heart = heart_objects(type_str, b)
     bad = []
     for k in cat.diagram.vertices:
-        sig = cat.sigma(k)
         for phase, kp, n in heart:
             # the catalog class of T(kp, n) already carries the +1 phase
             kT, n0 = t_image(cat, kp)
-            c = (2 * (n + n0) + cat.sigma(kT)) - sig
+            c = cat.coord(kT, n + n0) - cat.coord(k, 0)
             if class_hom_dim(cat, k, kT, c):
                 bad.append("Hom(P_%d, T(%d,%d)) nonzero" % (k, kp, n))
     control = 0
     for k in cat.diagram.vertices:
         kT, n0 = t_image(cat, k)
-        c = (2 * n0 + cat.sigma(kT)) - (2 + cat.sigma(k))
+        c = cat.coord(kT, n0) - cat.coord(k, 1)
         control += class_hom_dim(cat, k, kT, c)
     if control == 0:
         bad.append("control failed: twist-1 objects see no shifted projective")
@@ -322,7 +327,7 @@ def exceptional_collection(type_str, b, quiver):
                 if v in n_of:
                     continue
                 sign = 1 if (u, v) in arrows else -1
-                n_of[v] = cat.twist(v, 2 * n_of[u] + cat.sigma(u) + sign)
+                n_of[v] = cat.twist(v, cat.coord(u, n_of[u]) + sign)
                 if n_of[v] is None:
                     raise PolyError("phase propagation lost integrality")
                 nxt.append(v)
@@ -346,9 +351,6 @@ def strong_exceptionality_check(type_str, b, quiver):
     summary = path_hom_dims(quiver)
     bad = []
 
-    def coord(k, n):
-        return 2 * n + cat.sigma(k)
-
     def t_power(k, n, m):
         while m > 0:
             kT, n0 = t_image(cat, k)
@@ -363,9 +365,12 @@ def strong_exceptionality_check(type_str, b, quiver):
         if class_hom_dim(cat, k, k, 0) != 1:
             bad.append("End of vertex %d is not a line" % k)
 
+    total = 0
     for i, (ki, ni) in enumerate(ordered):
+        ci = cat.coord(ki, ni)
         for j, (kj, nj) in enumerate(ordered):
-            dim = class_hom_dim(cat, ki, kj, coord(kj, nj) - coord(ki, ni))
+            dim = class_hom_dim(cat, ki, kj, cat.coord(kj, nj) - ci)
+            total += dim
             paths = summary.hom_dims[ki - 1][kj - 1]
             if j < i and dim:
                 bad.append("backward Hom (%d -> %d) nonzero" % (ki, kj))
@@ -374,13 +379,10 @@ def strong_exceptionality_check(type_str, b, quiver):
                            % (ki, kj, dim, paths))
             for m in (-2, -1, 1, 2):
                 km, nm = t_power(kj, nj, m)
-                dm = class_hom_dim(cat, ki, km, coord(km, nm) - coord(ki, ni))
+                dm = class_hom_dim(cat, ki, km, cat.coord(km, nm) - ci)
                 if dm:
                     bad.append("Hom(%d, T^%d %d) nonzero" % (ki, m, kj))
 
-    total = sum(
-        class_hom_dim(cat, ki, kj, coord(kj, nj) - coord(ki, ni))
-        for (ki, ni) in ordered for (kj, nj) in ordered)
     if total != summary.dim:
         bad.append("total algebra dim %d != path count %d"
                    % (total, summary.dim))

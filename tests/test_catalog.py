@@ -98,9 +98,15 @@ def test_phase_and_shift_bookkeeping():
     for k in cat.diagram.vertices:
         for n in (-3, 0, 9):
             c = 2 * n + cat.sigma(k)
+            assert cat.coord(k, n) == c == cat.phase(k, n) * cat.h
             assert cat.twist(k, c) == n
             assert cat.twist(k, c + 1) is None
             assert cat.twist(k, cat.phase(k, n) * cat.h) == n
+        # coord inverts twist on every coordinate of k's parity
+        for c in range(-7, 2 * cat.h):
+            n = cat.twist(k, c)
+            assert n is None or cat.coord(k, n) == c
+            assert (n is None) == ((c - cat.sigma(k)) % 2 == 1)
     assert cat.twist(7, Fraction(1, 5)) is None
 
 
@@ -118,6 +124,20 @@ def test_objects_in_window_enumeration():
         # shifting the window by one phase unit shifts n by h/2 exactly
         # when h is even; in general the object count is preserved
         assert len(cat.objects_in_window(1, 3)) == len(win)
+
+
+def test_malformed_windows_twists_and_vertices_raise_polyerror():
+    cat = get_catalog("A3")
+    with pytest.raises(PolyError):
+        cat.objects_in_window("x", 1)
+    with pytest.raises(PolyError):
+        cat.objects_in_window(0, None)
+    with pytest.raises(PolyError):
+        cat.object(1, 1.5)
+    with pytest.raises(PolyError):
+        cat.object("1", 0)
+    # rational bounds in any exact spelling still enumerate the window
+    assert cat.objects_in_window("0", Fraction(1)) == cat.objects_in_window(0, 1)
 
 
 def test_unknown_types_and_vertices_are_rejected():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfcat import homcat
+from mfcat import homcat, kernel
 from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
 from mfcat.homcat import (
@@ -170,6 +170,35 @@ def test_hom_between_factorizations_of_different_f_is_rejected():
             hom_dim(src, dst)
         with pytest.raises(PolyError):
             hom_space(src, dst)
+
+
+def test_hom_dims_come_from_exact_ranks_alone(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("hom_dim reached the mod-p rank")
+
+    monkeypatch.setattr(kernel, "rank_modp", refuse)
+    # fresh catalogs: a memoized class dimension would skip hom_dim
+    cat = Catalog("E6")
+    for k in cat.diagram.vertices:
+        for kp in cat.diagram.vertices:
+            assert hom_multiset(cat, k, kp) == golden_multiset("E6", k, kp)
+    assert serre_duality_report(Catalog("D4")) == []
+
+
+def test_objects_of_another_potential_are_rejected_with_polyerror():
+    cat = get_catalog("A3")
+    for g in (get_catalog("D4").object(1, 0), "x", None):
+        with pytest.raises(PolyError):
+            identify_object(cat, g)
+        with pytest.raises(PolyError):
+            decompose(cat, g)
+    with pytest.raises(PolyError, match="different potentials"):
+        decompose(cat, get_catalog("D4").object(1, 0))
+
+
+def test_serre_duality_report_rejects_a_malformed_window():
+    with pytest.raises(PolyError):
+        serre_duality_report(get_catalog("A3"), "x", 1)
 
 
 def test_wrong_parity_classes_are_empty():

@@ -101,10 +101,20 @@ def test_stability_axioms_on_a_small_type():
     {"window": (2, 0)},
     {"max_summands": 0},
     {"trials": -1},
+    {"window": ("x", 1)},
+    {"window": None},
+    {"window": (0, 1, 2)},
+    {"trials": 1.5},
+    {"max_summands": 1.5},
 ])
 def test_stability_axioms_reject_bad_arguments_with_polyerror(kwargs):
     with pytest.raises(PolyError):
         check_stability_axioms("A3", 2, **kwargs)
+
+
+def test_hn_filtration_rejects_a_non_object_with_polyerror():
+    with pytest.raises(PolyError):
+        hn_filtration("x")
 
 
 def test_every_heart_object_maps_onto_a_projective_cover():

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from mfcat import homcat
+from mfcat.catalog import get_catalog
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +39,20 @@ def test_every_traced_span_and_counter_resolves_in_mfcat():
     for name, attr, under in tracing.COUNTERS:
         assert callable(getattr(homcat, attr, None)), name
         assert under in names, name
+
+
+def test_tracer_extras_find_the_arguments_they_read():
+    # _admissible reads (cat, k, kprime, c) and _pair (src, dst) by
+    # position; _system_size reads the sizes of a built system
+    def leading(fn, n):
+        return list(inspect.signature(fn).parameters)[:n]
+
+    assert leading(homcat.class_hom_dim, 4) == ["cat", "k", "kprime", "c"]
+    assert leading(homcat.hom_space, 2) == ["src", "dst"]
+    cat = get_catalog("A2")
+    sizes = []
+    for n in (-5, 1):  # an empty and a nonempty variable space
+        system = homcat._System(cat.object(1, 0), cat.object(1, n))
+        sizes.append((system.nvars, len(system.cocycle_rows),
+                      len(system.boundary_rows)))
+    assert sizes[0] == (0, 0, 0) and min(sizes[1]) > 0
