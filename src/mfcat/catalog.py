@@ -23,7 +23,7 @@ from mfcat.gring import (
     ade_polynomial,
     parse_type,
 )
-from mfcat.mf import GradedMF, solve_grading, verify_grading, verify_mf
+from mfcat.mf import GradedMF, solve_grading, tau, verify_grading, verify_mf
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -476,7 +476,7 @@ class Catalog:
         self.f, self.W = ade_polynomial(self.type_str, b)
         self.h = self.W.h
         self.diagram = DynkinDiagram(letter, l, b)
-        self._base_objects = {}
+        self._objects = {}  # (k, n) -> M(k, n); twists share M(k, 0)'s blocks
         self.memo = {}  # results derived from this catalog, filled by homcat
 
     def sigma(self, k):
@@ -490,9 +490,16 @@ class Catalog:
         """2n + sigma(k), the phase of M(k, n) on the h scale."""
         return 2 * n + self.sigma(k)
 
-    def twist(self, k, c):
-        """The n with coord(k, n) = c, i.e. phase(k, n) = c/h; None if none."""
-        n2 = c - self.sigma(k)
+    def twist(self, k, c, offset=0):
+        """The n with coord(k, n) = c + offset, or None if there is none.
+
+        c, an int or a Fraction, is a phase on the h scale: the n returned
+        has phase(k, n) = (c + offset)/h.
+        """
+        if not isinstance(c, (int, Fraction)):
+            raise PolyError("phase coordinate must be an int or a Fraction, "
+                            "got %r" % (c,))
+        n2 = c + offset - self.sigma(k)
         if n2 % 2:
             return None
         return n2 // 2
@@ -560,23 +567,17 @@ class Catalog:
         return g
 
     def object(self, k, n=0):
+        """M(k, n), built once; a twist shares the blocks of M(k, 0)."""
         if not isinstance(n, int):
             raise PolyError("twist n must be an int, got %r" % (n,))
-        base = self._base_objects.get(k)
-        if base is None:
-            base = self._build_base(k)
-            self._base_objects[k] = base
-        if n == 0:
-            return base
-        step = Fraction(2 * n, self.h)
-        return GradedMF(
-            base.f,
-            base.W,
-            base.phi,
-            base.psi,
-            [s + step for s in base.S],
-            label=self._label(k, n),
-        )
+        g = self._objects.get((k, n))
+        if g is None:
+            if n == 0:
+                g = self._build_base(k)
+            else:
+                g = tau(self.object(k, 0), n, label=self._label(k, n))
+            self._objects[k, n] = g
+        return g
 
     def objects_in_window(self, lo, hi):
         """(phase, k, n) with lo < phase <= hi, sorted by (phase, k)."""

@@ -29,6 +29,7 @@ from .mf import (
     serre,
     serre_inverse,
     shift_T,
+    tau,
     verify_grading,
     verify_mf,
     verify_morphism,
@@ -48,10 +49,15 @@ def _same_potential(a, b):
         raise PolyError("morphism between different potentials or weights")
 
 
-def _on_catalog(cat, g):
-    """PolyError unless g is a GradedMF of the catalog's potential."""
+def _check_object(g):
+    """PolyError unless g is a GradedMF."""
     if not isinstance(g, GradedMF):
         raise PolyError("expected a GradedMF, got %s" % type(g).__name__)
+
+
+def _on_catalog(cat, g):
+    """PolyError unless g is a GradedMF of the catalog's potential."""
+    _check_object(g)
     _same_potential(cat, g)
 
 
@@ -72,6 +78,39 @@ def _term_table(mat, scale, by_col):
             line, other = (j, i) if by_col else (i, j)
             table.setdefault(line, []).append((other, terms))
     return table
+
+
+def _denominator(g):
+    """lcm of the coefficient denominators of g's blocks; kept per blocks."""
+    L = g._block_memo.get("L")
+    if L is None:
+        L = 1
+        for mat in (g.phi, g.psi):
+            for row in mat:
+                for p in row:
+                    for co in p.terms.values():
+                        if co.d != 1:
+                            L = math.lcm(L, co.d)
+        g._block_memo["L"] = L
+    return L
+
+
+def _term_tables(g, scale, by_col):
+    """(phi, psi) term tables of g at ``scale``, built once per blocks."""
+    key = ("tables", scale, by_col)
+    tables = g._block_memo.get(key)
+    if tables is None:
+        tables = g._block_memo[key] = (_term_table(g.phi, scale, by_col),
+                                       _term_table(g.psi, scale, by_col))
+    return tables
+
+
+def _h_slots(g, D):
+    """g's slot degrees on the h*D scale; D is a multiple of g's own."""
+    own, degrees = g.h_degrees()
+    if own != D:
+        degrees = [s * (D // own) for s in degrees]
+    return degrees[:g.r], degrees[g.r:]
 
 
 class _System:
@@ -95,9 +134,17 @@ class _System:
     h*D scale, where D, the common denominator of all h*S, is 1 unless the
     slots sit off the (1/h)Z lattice; a pair of slots whose difference is not
     an even integer on the h scale admits no monomials.
+
+    What depends on one object alone is built once and read back: its L and
+    its term tables from its block memo, which every twist tau^n of it
+    shares, and its integer slot degrees from ``h_degrees``.  Tables are
+    kept per scale, so only a partner that raises L costs new tables, and
+    degrees are rescaled only for a partner that raises D.
     """
 
     def __init__(self, src, dst):
+        _check_object(src)
+        _check_object(dst)
         _same_potential(src, dst)
         self.src = src
         self.dst = dst
@@ -105,12 +152,9 @@ class _System:
         a, b, c, h = W.a, W.b, W.c, W.h
         rs, rd = src.r, dst.r
 
-        D = 1
-        for s in src.S + dst.S:
-            D = math.lcm(D, s.denominator // math.gcd(s.denominator, h))
-        ss, sbs, sd, sbd = (
-            [s.numerator * h * D // s.denominator for s in half]
-            for half in (src.s_row, src.sbar_row, dst.s_row, dst.sbar_row))
+        D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
+        ss, sbs = _h_slots(src, D)
+        sd, sbd = _h_slots(dst, D)
         step = 2 * D  # one unit of integer weighted degree on the h*D scale
         one = h * D  # normalized degree 1
 
@@ -119,33 +163,29 @@ class _System:
                 return ()
             return weighted_monomials(a, b, c, t // step)
 
-        self.var_keys = []
-        self.entry = entry = {}  # (blk, i, j) -> {mon: variable index}
+        self.var_keys = var_keys = []
+        # (blk, i, j) -> {mon: variable index}; entries without monomials
+        # have no key
+        self.entry = entry = {}
         for blk, drow, dcol in ((0, sd, ss), (1, sbd, sbs)):
             for i in range(rd):
                 for j in range(rs):
-                    mons = entry[blk, i, j] = {}
-                    for mon in basis(drow[i] - dcol[j]):
-                        mons[mon] = len(self.var_keys)
-                        self.var_keys.append((blk, i, j, mon))
-        self.nvars = len(self.var_keys)
+                    mons = basis(drow[i] - dcol[j])
+                    if not mons:
+                        continue
+                    index = entry[blk, i, j] = {}
+                    for mon in mons:
+                        index[mon] = len(var_keys)
+                        var_keys.append((blk, i, j, mon))
+        self.nvars = len(var_keys)
         if not self.nvars:
             self.cocycle_rows = []
             self.boundary_rows = []
             return
 
-        L = 1
-        for g in (src, dst):
-            for mat in (g.phi, g.psi):
-                for row in mat:
-                    for p in row:
-                        for co in p.terms.values():
-                            if co.d != 1:
-                                L = math.lcm(L, co.d)
-        dphi = _term_table(dst.phi, L, True)
-        dpsi = _term_table(dst.psi, L, True)
-        sphi = _term_table(src.phi, L, False)
-        spsi = _term_table(src.psi, L, False)
+        L = math.lcm(_denominator(src), _denominator(dst))
+        dphi, dpsi = _term_tables(dst, L, True)
+        sphi, spsi = _term_tables(src, L, False)
 
         # One row per entry and monomial of E0.  A variable meets a row in at
         # most one term and variables come in index order, so every row has
@@ -210,20 +250,24 @@ class _System:
         return Morphism(self.src, self.dst, tuple(map(tuple, phi0)),
                         tuple(map(tuple, phi1)))
 
-    def vectorize(self, m):
-        """Morphism -> (kernel row, scale): row equals scale * coefficient vector."""
-        items = []
-        for blk, mat in ((0, m.phi0), (1, m.phi1)):
-            for i, row in enumerate(mat):
-                for j, p in enumerate(row):
-                    for mon, c in p.terms.items():
-                        vidx = self.entry.get((blk, i, j), {}).get(mon)
-                        if vidx is None:
-                            raise PolyError(
-                                "morphism entry (%d,%d,%d) has a monomial of "
-                                "inadmissible degree" % (blk, i, j))
-                        items.append((vidx, c))
-        return _clear_row(items)
+
+def _vectorize(entry, m):
+    """Morphism -> (kernel row, scale): row equals scale * coefficient vector.
+
+    ``entry`` is the variable map of the morphism's ``_System``.
+    """
+    items = []
+    for blk, mat in ((0, m.phi0), (1, m.phi1)):
+        for i, row in enumerate(mat):
+            for j, p in enumerate(row):
+                for mon, c in p.terms.items():
+                    vidx = entry.get((blk, i, j), {}).get(mon)
+                    if vidx is None:
+                        raise PolyError(
+                            "morphism entry (%d,%d,%d) has a monomial of "
+                            "inadmissible degree" % (blk, i, j))
+                    items.append((vidx, c))
+    return _clear_row(items)
 
 
 class HomSpace:
@@ -234,21 +278,21 @@ class HomSpace:
     exact solve.
     """
 
-    def __init__(self, src, dst, dim, basis, system, solve_columns):
+    def __init__(self, src, dst, dim, basis, entry, solve_columns):
         self.src = src
         self.dst = dst
         self.dim = dim
         self.basis = basis
-        self._system = system
+        self._entry = entry  # the variable map of the system, not its rows
         self._solve_columns = solve_columns
 
     def coordinates(self, m):
         """Coefficients of [m] over ``basis``; raises if m is not closed."""
-        if self._system is None or not self._system.nvars:
+        if not self._entry:
             if m.is_zero():
                 return [GaussRat(0)] * self.dim
             raise PolyError("nonzero morphism in a trivial variable space")
-        row, scale = self._system.vectorize(m)
+        row, scale = _vectorize(self._entry, m)
         sol = kernel.solve(self._solve_columns, row)
         if sol is None:
             raise PolyError("morphism is not a closed cocycle")
@@ -266,7 +310,7 @@ def hom_space(src, dst):
     """Full Hom space with witness basis and coordinate solver."""
     sys = _System(src, dst)
     if not sys.nvars:
-        return HomSpace(src, dst, 0, [], None, [])
+        return HomSpace(src, dst, 0, [], {}, [])
     _, zrows = kernel.nullspace(sys.cocycle_rows, sys.nvars)
     chosen = kernel.select_independent(sys.boundary_rows, zrows)
     basis = [sys.morphism_from_row(zrows[i]) for i in chosen]
@@ -275,7 +319,7 @@ def hom_space(src, dst):
     if dim != len(chosen):
         raise ArithmeticError("boundary image escapes the cocycle space")
     solve_columns = [zrows[i] for i in chosen] + sys.boundary_rows
-    return HomSpace(src, dst, dim, basis, sys, solve_columns)
+    return HomSpace(src, dst, dim, basis, sys.entry, solve_columns)
 
 
 def hom_dim(src, dst):
@@ -592,7 +636,7 @@ def _retraction(cat, g, k, n):
     Iw = hom_space(M, g)
     if Iw.dim == 0:
         return None
-    EM = hom_space(M, M)
+    EM = _endomorphisms(cat, k, n)
     for incl in Iw.basis:
         for proj in P.basis:
             gamma = EM.coordinates(compose(proj, incl))[0]
@@ -630,6 +674,13 @@ def _per_catalog(fn):
 
 
 @_per_catalog
+def _endomorphisms(cat, k, n):
+    """End(M(k, n)); its basis is canonical, so reuse changes nothing."""
+    M = cat.object(k, n)
+    return hom_space(M, M)
+
+
+@_per_catalog
 def t_image(cat, k):
     """(k', n') with T(M^k_0) isomorphic to M^{k'}_{n'}, certified."""
     res = identify_object(cat, shift_T(cat.object(k, 0)))
@@ -661,7 +712,7 @@ def class_hom_dim(cat, k, kprime, c):
     so the dimension is a class function of (k, k', c); c values of the
     wrong parity admit no object pairs and count as zero.
     """
-    n_prime = cat.twist(kprime, c + cat.sigma(k))
+    n_prime = cat.twist(kprime, c, cat.sigma(k))
     if n_prime is None:
         return 0
     return _class_dim(cat, k, kprime, n_prime)
@@ -698,7 +749,7 @@ def serre_rhs_dim(cat, k_y, k_x, cprime):
     integral n exists.  The Serre image is used as a raw block pair, not
     identified against the catalog.
     """
-    n = cat.twist(k_x, cprime - cat.h + 2 + cat.sigma(k_y))
+    n = cat.twist(k_x, cprime, 2 - cat.h + cat.sigma(k_y))
     if n is None:
         return 0
     return _serre_rhs_dim(cat, k_y, k_x, n)
@@ -706,7 +757,15 @@ def serre_rhs_dim(cat, k_y, k_x, cprime):
 
 @_per_catalog
 def _serre_rhs_dim(cat, k_y, k_x, n):
-    return hom_dim(cat.object(k_y, 0), serre(cat.object(k_x, n)))
+    # S commutes with tau, so S(M^k_x_n) = tau^n S(M^k_x_0), and every twist
+    # shares the blocks of the one memoized image
+    return hom_dim(cat.object(k_y, 0), tau(_vertex_serre(cat, k_x), n))
+
+
+@_per_catalog
+def _vertex_serre(cat, k):
+    """S(M^k_0) as a raw block pair, never identified against the catalog."""
+    return serre(cat.object(k, 0))
 
 
 def serre_duality_report(cat, lo=0, hi=2):

@@ -20,6 +20,7 @@ witnesses, direct sums, unit-entry reduction, the grading solver, and the
 JSON form used by the command line.
 """
 
+import math
 from fractions import Fraction
 
 from mfcat.gring import (
@@ -132,9 +133,14 @@ class GradedMF:
 
     S has length 2r; entries are Fractions in the deg-f = 2 scale.  The
     label is a free-form display tag carried through JSON export.
+
+    ``_block_memo`` holds results that depend only on the blocks (filled by
+    homcat); tau hands it on to the twisted object, every other constructor
+    starts a fresh one.  Equality, hashing and JSON ignore it.
     """
 
-    __slots__ = ("f", "W", "phi", "psi", "S", "label")
+    __slots__ = ("f", "W", "phi", "psi", "S", "label", "_block_memo",
+                 "_h_degrees")
 
     def __init__(self, f, W, phi, psi, S, label=""):
         self.f = f
@@ -143,6 +149,8 @@ class GradedMF:
         self.psi = mat_freeze(psi)
         self.S = tuple(Fraction(s) for s in S)
         self.label = label
+        self._block_memo = {}
+        self._h_degrees = None
         r = self.r
         if any(len(row) != r for row in self.phi):
             raise PolyError("phi must be square")
@@ -162,6 +170,21 @@ class GradedMF:
     @property
     def sbar_row(self):
         return self.S[self.r :]
+
+    def h_degrees(self):
+        """(D, degrees): S on the h*D scale as ints, computed once.
+
+        D is the least positive integer making every h*D*S[i] integral; it is
+        1 unless some slot sits off the (1/h)Z lattice.
+        """
+        if self._h_degrees is None:
+            h = self.W.h
+            D = 1
+            for s in self.S:
+                D = math.lcm(D, s.denominator // math.gcd(s.denominator, h))
+            self._h_degrees = D, tuple(s.numerator * h * D // s.denominator
+                                       for s in self.S)
+        return self._h_degrees
 
     def __eq__(self, other):
         if not isinstance(other, GradedMF):
@@ -236,10 +259,17 @@ def verify_grading(g):
 # ---------------------------------------------------------------------------
 
 
-def tau(g, n=1):
-    """Degree shift: adds 2n/h to every slot degree."""
+def tau(g, n=1, label=""):
+    """Degree shift: adds 2n/h to every slot degree.
+
+    The blocks are g's own, so the result shares g's block memo.
+    """
+    if not isinstance(n, int):
+        raise PolyError("tau needs an int twist, got %r" % (n,))
     step = Fraction(2 * n, g.W.h)
-    return GradedMF(g.f, g.W, g.phi, g.psi, [s + step for s in g.S])
+    out = GradedMF(g.f, g.W, g.phi, g.psi, [s + step for s in g.S], label)
+    out._block_memo = g._block_memo
+    return out
 
 
 def shift_T(g):

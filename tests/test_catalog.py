@@ -136,6 +136,10 @@ def test_malformed_windows_twists_and_vertices_raise_polyerror():
         cat.object(1, 1.5)
     with pytest.raises(PolyError):
         cat.object("1", 0)
+    for c in ("a", 1.5, None):
+        with pytest.raises(PolyError):
+            cat.twist(1, c)
+    assert cat.twist(1, Fraction(5)) == cat.twist(1, 5) == cat.twist(1, 2, 3)
     # rational bounds in any exact spelling still enumerate the window
     assert cat.objects_in_window("0", Fraction(1)) == cat.objects_in_window(0, 1)
 
@@ -160,6 +164,20 @@ def test_catalogs_are_cached_and_polynomials_match():
         cat = get_catalog(t, b)
         f, W = ade_polynomial(t, b)
         assert cat.f == f and cat.W == W
+
+
+def test_objects_are_built_once_per_catalog():
+    cat = get_catalog("D5")
+    fresh = Catalog("D5")
+    for k in cat.diagram.vertices:
+        for n in (0, -2, 3):
+            g = cat.object(k, n)
+            assert cat.object(k, n) is g
+            # every twist shares the blocks, and the block memo, of M(k, 0)
+            assert g._block_memo is cat.object(k, 0)._block_memo
+            other = fresh.object(k, n)
+            assert other == g and other is not g
+            assert other._block_memo is not g._block_memo
 
 
 def test_engine_integrity_failures_raise_arithmetic_error(monkeypatch):

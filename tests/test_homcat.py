@@ -187,11 +187,17 @@ def test_hom_dims_come_from_exact_ranks_alone(monkeypatch):
 
 def test_objects_of_another_potential_are_rejected_with_polyerror():
     cat = get_catalog("A3")
+    X = cat.object(1, 0)
     for g in (get_catalog("D4").object(1, 0), "x", None):
         with pytest.raises(PolyError):
             identify_object(cat, g)
         with pytest.raises(PolyError):
             decompose(cat, g)
+        for src, dst in ((X, g), (g, X)):
+            with pytest.raises(PolyError):
+                hom_dim(src, dst)
+            with pytest.raises(PolyError):
+                hom_space(src, dst)
     with pytest.raises(PolyError, match="different potentials"):
         decompose(cat, get_catalog("D4").object(1, 0))
 
@@ -481,6 +487,72 @@ def test_hom_multiset_rejects_bad_vertices():
     cat = get_catalog("A3")
     with pytest.raises(PolyError):
         hom_multiset(cat, 0, 1)
+    for c in ("a", 1.5, None):
+        with pytest.raises(PolyError):
+            class_hom_dim(cat, 1, 2, c)
+        with pytest.raises(PolyError):
+            serre_rhs_dim(cat, 1, 2, c)
+
+
+def _cache_free(g):
+    """An equal object with an empty block memo and no cached degrees."""
+    return GradedMF(g.f, g.W, g.phi, g.psi, g.S, label=g.label)
+
+
+def _basis_blocks(H):
+    return [(m.phi0, m.phi1) for m in H.basis]
+
+
+def test_block_caches_answer_as_cache_free_copies():
+    cat = Catalog("D5")
+    X = cat.object(3, 1)
+    # conjugated partners scale the tables by L != 1; a sum with a 1/5-shifted
+    # summand has D = 5, so X's own degrees (D = 1) are rescaled
+    off = _shifted(cat.object(1, 0), Fraction(1, 5))
+    checked = 0
+    for kp in cat.diagram.vertices:
+        for n in (0, 1, 2):
+            Y = cat.object(kp, n)
+            for partner in (Y, _conjugated(Y), direct_sum(Y, off)):
+                for src, dst in ((X, partner), (partner, X)):
+                    want = hom_space(_cache_free(src), _cache_free(dst))
+                    got = hom_space(src, dst)
+                    assert hom_dim(src, dst) == got.dim == want.dim
+                    assert _basis_blocks(got) == _basis_blocks(want)
+                    checked += got.dim > 0
+    assert checked >= 10
+    # X's tables were kept per scale, in the memo every twist of X shares
+    scales = {key[1] for key in X._block_memo if key[0] == "tables"}
+    assert 1 in scales and len(scales) > 1
+    assert cat.object(3, -4)._block_memo is X._block_memo
+
+
+def test_serre_images_commute_with_tau():
+    for t, b in (("A4", 2), ("D4", None), ("E6", None)):
+        cat = Catalog(t, b)
+        for k in cat.diagram.vertices:
+            image = homcat._vertex_serre(cat, k)
+            assert homcat._vertex_serre(cat, k) is image
+            for n in range(-2, cat.h):
+                twisted = tau(image, n)
+                assert serre(cat.object(k, n)) == twisted
+                assert twisted._block_memo is image._block_memo
+
+
+def test_end_spaces_are_memoized_per_class():
+    cat = Catalog("D4")
+    g = direct_sum(cat.object(1, 0), direct_sum(cat.object(3, 1),
+                                                cat.object(1, 0)))
+    assert decompose(cat, g) == decompose(get_catalog("D4"), g)
+    ends = [key for key in cat.memo if key[0] == "_endomorphisms"]
+    assert ends
+    for key in ends:
+        E = cat.memo[key]
+        M = cat.object(*key[1:])
+        assert E.src is M and E.dst is M
+        want = hom_space(_cache_free(M), _cache_free(M))
+        assert E.dim == want.dim == 1
+        assert _basis_blocks(E) == _basis_blocks(want)
 
 
 def test_repeat_calls_are_answered_from_the_catalog_memo(monkeypatch):

@@ -86,6 +86,36 @@ def test_tau_and_t_shift_algebra():
             assert verify_grading(im) == []
 
 
+def test_only_tau_shares_the_block_memo():
+    for g in _objects():
+        memo = g._block_memo
+        assert tau(g, 3)._block_memo is memo
+        assert tau(tau(g, -2), 1)._block_memo is memo
+        others = (shift_T(g), shift_T_inverse(g), serre(g), serre_inverse(g),
+                  direct_sum(g, g), mf_reduce(g), mf_from_json(mf_to_json(g)),
+                  GradedMF(g.f, g.W, g.phi, g.psi, g.S, label=g.label))
+        for other in others:
+            assert other._block_memo is not memo
+        # equality, hashing and JSON ignore the memo
+        copy = others[-1]
+        assert copy == g and hash(copy) == hash(g)
+        g._block_memo["probe"] = 1
+        assert copy == g and hash(copy) == hash(g)
+        assert mf_to_json(copy) == mf_to_json(g)
+        del g._block_memo["probe"]
+
+
+def test_h_degrees_are_the_slot_degrees_on_the_h_scale():
+    g = get_catalog("E6").object(2, 1)
+    D, degrees = g.h_degrees()
+    assert D == 1 and g.h_degrees() is g.h_degrees()
+    assert [Fraction(d, g.W.h) for d in degrees] == list(g.S)
+    off = GradedMF(g.f, g.W, g.phi, g.psi, [s + Fraction(1, 5) for s in g.S])
+    D, degrees = off.h_degrees()
+    assert D == 5
+    assert [Fraction(d, g.W.h * D) for d in degrees] == list(off.S)
+
+
 def test_cone_grading_and_contracts():
     for t, b, k in (("A4", 2, 2), ("D4", None, 1), ("E6", None, 5)):
         cat = get_catalog(t, b)
@@ -224,6 +254,9 @@ def test_shape_errors_raise_polyerror():
         Morphism(g, g, g.phi[:-1], g.phi)
     with pytest.raises(PolyError):
         mat_mul(((Poly.const(1), Poly.const(2)),), ())
+    for n in (1.5, "x", Fraction(1, 2), None):
+        with pytest.raises(PolyError):
+            tau(g, n)
 
 
 _OPTIMIZED_PROBE = """

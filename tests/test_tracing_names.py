@@ -13,6 +13,7 @@ from pathlib import Path
 
 from mfcat import homcat
 from mfcat.catalog import get_catalog
+from mfcat.mf import GradedMF, serre, tau
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,3 +57,18 @@ def test_tracer_extras_find_the_arguments_they_read():
         sizes.append((system.nvars, len(system.cocycle_rows),
                       len(system.boundary_rows)))
     assert sizes[0] == (0, 0, 0) and min(sizes[1]) > 0
+    # the cached path: a memoized twist, which shares the blocks of M(1, 0),
+    # and a twist of the memoized Serre image of vertex 1; each must size
+    # up as its cache-free copy does
+    X = cat.object(1, 0)
+    twist = cat.object(1, 1)
+    image = tau(homcat._vertex_serre(cat, 1), 1)
+    assert twist._block_memo is X._block_memo
+    assert image._block_memo is homcat._vertex_serre(cat, 1)._block_memo
+    for dst, plain in ((twist, GradedMF(X.f, X.W, X.phi, X.psi, twist.S)),
+                       (image, serre(twist))):
+        cached = homcat._System(X, dst)
+        fresh = homcat._System(X, plain)
+        assert cached.nvars and cached.cocycle_rows and cached.boundary_rows
+        assert (cached.nvars, cached.cocycle_rows, cached.boundary_rows) == (
+            fresh.nvars, fresh.cocycle_rows, fresh.boundary_rows)
