@@ -47,6 +47,7 @@ from .stability import (
     central_charge,
     check_stability_axioms,
     exceptional_collection,
+    mass_certified,
     strong_exceptionality_check,
 )
 from .tables import golden_multiset, serre_vertex
@@ -130,7 +131,8 @@ def _verify_suite(cat):
         if sum(g.S[:g.r]) != g.r * ph or sum(g.S[g.r:]) != g.r * ph:
             bad.append("S-half sums at k=%d are not r*phase" % k)
         cc = central_charge(g)
-        if cc.phase != ph or not cc.mass_positive() or not cc.consistent():
+        if (cc.phase != ph or not mass_certified(cat, cc.mass_terms)
+                or not cc.consistent()):
             bad.append("central charge inconsistent at k=%d" % k)
     yield "slot sums and central charges", bad
 

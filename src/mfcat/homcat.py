@@ -645,17 +645,26 @@ def _retraction(cat, g, k, n):
     return None
 
 
+def _isomorphic(cat, g, k, n):
+    """True when reduced g is isomorphic to M(k, n), certified.
+
+    g must have M's size, and then a retraction onto M is an isomorphism
+    (a retract of equal size is); g equal to M by value needs none.
+    """
+    return 2 * cat.nu(k) == g.r and (g == cat.object(k, n)
+                                      or _retraction(cat, g, k, n) is not None)
+
+
 def identify_object(cat, g):
     """Identify g with a catalog object: returns (k, n) or None.
 
-    The candidates are the classes of g's size whose slot multisets embed
-    into, hence equal, those of reduced g; a retraction onto one of them
-    certifies an isomorphism (a retract of equal size is an isomorphism).
+    The candidates are the classes whose slot multisets embed into reduced
+    g's; the first one isomorphic to it (see :func:`_isomorphic`) is g's.
     """
     _on_catalog(cat, g)
     g0 = reduce(g)
     for _, k, n in _candidate_classes(cat, g0):
-        if 2 * cat.nu(k) == g0.r and _retraction(cat, g0, k, n):
+        if _isomorphic(cat, g0, k, n):
             return (k, n)
     return None
 
@@ -880,8 +889,24 @@ def _candidate_classes(cat, work):
 
 
 def _find_summand(cat, work):
-    """Find one catalog summand of work: (k, n, complement) or None."""
+    """Find one catalog summand of reduced work: (k, n, complement) or None.
+
+    A candidate of work's size is a summand exactly when it is work itself
+    (see :func:`_isomorphic`); it leaves the empty complement and needs no
+    split.  A smaller M that work retracts onto gives a homotopy idempotent
+    e = incl o proj' with image M, and its strict lift ehat is homotopic to
+    e, so the image of ehat is M plus a contractible part.  The images of
+    ehat and of 1 - ehat are strict summands of reduced work, hence reduced
+    themselves; a reduced object homotopy equivalent to M is isomorphic to
+    it, so the complement has exactly work.r - M.r slots.  Only the
+    complement is split, and that count is checked: it fails exactly when
+    a split of ehat would show an image of the wrong size.
+    """
     for _, k, n in _candidate_classes(cat, work):
+        if 2 * cat.nu(k) == work.r:
+            if _isomorphic(cat, work, k, n):
+                return k, n, GradedMF(work.f, work.W, (), (), (), label="0")
+            continue
         found = _retraction(cat, work, k, n)
         if found is None:
             continue
@@ -889,8 +914,10 @@ def _find_summand(cat, work):
         id_coord = EM.coordinates(identity_morphism(M))[0]
         e = compose(incl, morphism_scale(id_coord / gamma, proj))
         ehat = lift_idempotent(work, e)
-        _strict_split(work, ehat)  # the summand itself is checked, then dropped
         rest, _, _ = _strict_split(work, morphism_sub(identity_morphism(work), ehat))
+        if rest.r != work.r - M.r:
+            raise ArithmeticError("complement of M^%d_%d has %d slots, not %d"
+                                  % (k, n, rest.r, work.r - M.r))
         return k, n, rest
     return None
 

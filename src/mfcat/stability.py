@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce as _freduce
 
@@ -19,7 +20,7 @@ import mpmath
 
 from .catalog import get_catalog, window_bounds
 from .gring import GaussRat, Poly, PolyError
-from .homcat import class_hom_dim, decompose, t_image
+from .homcat import _per_catalog, class_hom_dim, decompose, t_image
 from .mf import GradedMF, Morphism, direct_sum, verify_morphism
 from .quiver import path_hom_dims
 
@@ -63,15 +64,30 @@ class CentralCharge:
                 arg = mpmath.iv.pi * mpmath.iv.mpf(o.numerator) / o.denominator
                 total += mpmath.iv.cos(arg)
             return total
+
     def mass_positive(self):
         return self.mass_interval().a > 0
 
-    def consistent(self, tol=1e-9):
-        """|value - mass * e^{i*pi*phase}| < tol (floating cross-check)."""
+    def consistent(self):
+        """True when the charge lies on the phase ray, decided exactly.
+
+        The charge is e^{i*pi*phase} times the sum of e^{i*pi*o} over the
+        offsets o; offsets closed under negation cancel the sines, leaving
+        the mass on the ray.  The zero object has no offsets.
+        """
         if self.phase is None:
-            return abs(self.value) < tol
-        ray = cmath.exp(1j * cmath.pi * float(self.phase))
-        return abs(self.value - self.mass_float() * ray) < tol
+            return not self.mass_terms
+        return Counter(self.mass_terms) == Counter(-o for o in self.mass_terms)
+
+
+@_per_catalog
+def mass_certified(cat, offsets):
+    """Interval-certified positivity of the mass over a sorted offset tuple.
+
+    Offsets do not move under tau, so one certificate per vertex serves
+    every twist.
+    """
+    return CentralCharge(None, None, offsets).mass_positive()
 
 
 class HNFiltration:
@@ -228,7 +244,7 @@ def check_stability_axioms(type_str, b=None, window=(0, 2), trials=100,
         cc = central_charge(cat.object(k, n))
         if cc.phase != phase:
             bad.append("axiom1: phase of (%d,%d) is %s" % (k, n, cc.phase))
-        if not cc.mass_positive():
+        if not mass_certified(cat, cc.mass_terms):
             bad.append("axiom1: mass of (%d,%d) not certified positive" % (k, n))
         if not cc.consistent():
             bad.append("axiom1: charge of (%d,%d) off the phase ray" % (k, n))
@@ -244,12 +260,13 @@ def check_stability_axioms(type_str, b=None, window=(0, 2), trials=100,
     if shifted != actual:
         bad.append("axiom2: shifted slices differ from the phase+1 slices")
 
+    coords = [(cat.coord(k, n), k, n) for _, k, n in objs]
     seen = set()
-    for p1, k1, n1 in objs:
-        for p2, k2, n2 in objs:
-            if p1 <= p2:
+    for c1, k1, n1 in coords:
+        for c2, k2, n2 in coords:
+            if c1 <= c2:
                 continue
-            c = cat.coord(k2, n2) - cat.coord(k1, n1)
+            c = c2 - c1
             key = (k1, k2, c)
             if key in seen:
                 continue

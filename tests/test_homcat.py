@@ -476,6 +476,88 @@ def test_decompose_rejects_an_off_lattice_object():
         decompose(cat, _shifted(g, Fraction(1, 5)))
 
 
+def _count_calls(monkeypatch, *names):
+    """Wrap homcat functions by name; returns {name: [args, ...]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _real=getattr(homcat, name), _log=calls[name]):
+            _log.append(args)
+            return _real(*args)
+        monkeypatch.setattr(homcat, name, counted)
+    return calls
+
+
+def _count_systems(monkeypatch):
+    """Record, per _System built, whether src equals dst by value."""
+    same = []
+
+    class Counted(homcat._System):
+        def __init__(self, src, dst):
+            same.append(src == dst)
+            super().__init__(src, dst)
+
+    monkeypatch.setattr(homcat, "_System", Counted)
+    return same
+
+
+def test_a_catalog_object_is_settled_by_size_without_a_split(monkeypatch):
+    calls = _count_calls(monkeypatch, "lift_idempotent", "_strict_split")
+    same = _count_systems(monkeypatch)
+    for t, k_built in (("D4", (2, 6)), ("E6", (2, 8))):
+        cat = Catalog(t)
+        for k in cat.diagram.vertices:
+            for n in (0, 3):
+                del same[:]
+                assert decompose(cat, cat.object(k, n)) == [(k, n)]
+                assert not any(same)
+                # smaller candidates are still tried, through Hom systems
+                if k == k_built[0]:
+                    assert len(same) == k_built[1]
+    assert calls == {"lift_idempotent": [], "_strict_split": []}
+
+
+def test_a_sum_of_s_objects_splits_s_minus_one_times(monkeypatch):
+    calls = _count_calls(monkeypatch, "lift_idempotent", "_strict_split")
+    rng = random.Random(11)
+    for t, b in (("A4", 2), ("D5", None), ("E6", None)):
+        cat = get_catalog(t, b)
+        window = cat.objects_in_window(0, 2)
+        for s in (1, 2, 3, 4):
+            picks = [rng.choice(window)[1:] for _ in range(s)]
+            g = _freduce(direct_sum, [cat.object(k, n) for k, n in picks])
+            for log in calls.values():
+                del log[:]
+            assert sorted(decompose(cat, g)) == sorted(picks)
+            assert len(calls["lift_idempotent"]) == s - 1
+            assert len(calls["_strict_split"]) == s - 1
+
+
+def test_identify_object_of_an_unequal_copy_goes_through_a_retraction(
+        monkeypatch):
+    calls = _count_calls(monkeypatch, "_retraction")
+    cat = get_catalog("E6")
+    g = cat.object(2, 1)
+    perm = list(reversed(range(g.r)))
+    h = permute_slots(g, perm, perm)
+    assert h != g
+    assert identify_object(cat, h) == (2, 1)
+    assert calls["_retraction"][-1][2:] == (2, 1)
+
+
+def test_a_complement_of_the_wrong_size_is_an_engine_error(monkeypatch):
+    real = homcat._strict_split
+
+    def whole(g, e):
+        _, incl, proj = real(g, e)
+        return g, incl, proj  # the complement keeps every slot of g
+
+    monkeypatch.setattr(homcat, "_strict_split", whole)
+    cat = get_catalog("D5")
+    g = direct_sum(cat.object(1, 0), cat.object(3, 1))
+    with pytest.raises(ArithmeticError, match="complement"):
+        decompose(cat, g)
+
+
 def test_ar_triangles_on_small_types():
     for t, b in (("A2", 1), ("A4", 2), ("D4", None)):
         cat = get_catalog(t, b)

@@ -9,16 +9,19 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from mfcat.catalog import get_catalog
+from mfcat import stability
+from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import PolyError
-from mfcat.mf import direct_sum, shift_T
+from mfcat.mf import GradedMF, direct_sum, shift_T
 from mfcat.quiver import path_hom_dims, principal_orientation, random_orientation
 from mfcat.stability import (
+    CentralCharge,
     central_charge,
     check_stability_axioms,
     exceptional_collection,
     heart_objects,
     hn_filtration,
+    mass_certified,
     projectivity_check,
     strong_exceptionality_check,
 )
@@ -58,6 +61,61 @@ def test_shift_negates_the_central_charge():
         assert abs(a.value + s.value) < 1e-12
         assert s.phase == a.phase + 1
         assert sorted(s.mass_terms) == sorted(a.mass_terms)
+
+
+def test_the_phase_ray_test_is_exact_and_agrees_with_the_float_charge():
+    # the sum of two objects of different sizes and phases is not phase-pure
+    cat = get_catalog("D4")
+    x, y = cat.object(1, 0), cat.object(2, 0)
+    for g, on_ray in ((x, True), (direct_sum(x, x), True),
+                      (direct_sum(x, y), False),
+                      (GradedMF(x.f, x.W, (), (), ()), True)):
+        cc = central_charge(g)
+        assert cc.consistent() is on_ray
+        ray = cmath.exp(1j * cmath.pi * float(cc.phase or 0))
+        assert (abs(cc.value - cc.mass_float() * ray) < 1e-9) is on_ray
+
+
+def test_mass_positivity_is_certified_once_per_offset_multiset(monkeypatch):
+    calls = []
+    real = CentralCharge.mass_positive
+
+    def counted(self):
+        calls.append(self.mass_terms)
+        return real(self)
+
+    monkeypatch.setattr(CentralCharge, "mass_positive", counted)
+    cat = Catalog("D5")
+    window = cat.objects_in_window(0, 2)
+    for _ in range(2):
+        for _, k, n in window:
+            cc = central_charge(cat.object(k, n))
+            assert mass_certified(cat, cc.mass_terms)
+    # offsets do not move under tau, so each vertex is certified once
+    assert len(calls) == len(set(calls)) <= cat.l < len(window)
+    check_stability_axioms("A3", 2, trials=0)
+    del calls[:]
+    assert check_stability_axioms("A3", 2, trials=0) == []
+    assert calls == []
+
+
+def test_axiom_three_reports_backward_classes_in_window_order(monkeypatch):
+    # with every class read as nonzero, each first backward (k, k', c) class
+    # is reported; the reference walks the window by Fraction phase
+    monkeypatch.setattr(stability, "class_hom_dim", lambda cat, k, kp, c: 1)
+    cat = get_catalog("A3", 2)
+    objs = cat.objects_in_window(0, 2)
+    want, seen = [], set()
+    for p1, k1, n1 in objs:
+        for p2, k2, n2 in objs:
+            key = (k1, k2, (p2 - p1) * cat.h)
+            if p1 > p2 and key not in seen:
+                seen.add(key)
+                want.append("axiom3: Hom((%d,%d),(%d,%d)) nonzero backward"
+                            % (k1, n1, k2, n2))
+    got = [v for v in check_stability_axioms("A3", 2, trials=0)
+           if v.startswith("axiom3")]
+    assert got == want and len(want) > 10
 
 
 def test_direct_sum_charges_add():
