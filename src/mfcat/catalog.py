@@ -463,12 +463,7 @@ class Catalog:
 
     def __init__(self, type_str, b=None):
         letter, l = parse_type(type_str)
-        if letter == "A":
-            b = 1 if b is None else b
-            if not 1 <= b <= l:
-                raise PolyError("b must satisfy 1 <= b <= l for A types")
-        else:
-            b = None
+        b = (1 if b is None else b) if letter == "A" else None
         self.letter = letter
         self.l = l
         self.b = b
@@ -608,8 +603,5 @@ def _catalog_cached(type_str, b):
 
 def get_catalog(type_str, b=None):
     letter, l = parse_type(type_str)
-    if letter == "A" and b is None:
-        b = 1
-    if letter != "A":
-        b = None
+    b = (1 if b is None else b) if letter == "A" else None
     return _catalog_cached("%s%d" % (letter, l), b)

@@ -761,7 +761,7 @@ def ade_weight_system(type_str, b=None):
     if letter == "A":
         if b is None:
             b = 1
-        if not 1 <= b <= l:
+        if not isinstance(b, int) or not 1 <= b <= l:
             raise PolyError("b must satisfy 1 <= b <= l for A types")
         return WeightSystem(1, b, l + 1 - b, l + 1)
     if letter == "D":

@@ -20,8 +20,8 @@ from .gring import ZERO, GaussRat, Poly, PolyError, weighted_monomials
 from .mf import (
     GradedMF,
     Morphism,
+    _expect,
     cone,
-    identity_morphism,
     mat_identity,
     mat_is_zero,
     mat_mul,
@@ -49,15 +49,9 @@ def _same_potential(a, b):
         raise PolyError("morphism between different potentials or weights")
 
 
-def _check_object(g):
-    """PolyError unless g is a GradedMF."""
-    if not isinstance(g, GradedMF):
-        raise PolyError("expected a GradedMF, got %s" % type(g).__name__)
-
-
 def _on_catalog(cat, g):
     """PolyError unless g is a GradedMF of the catalog's potential."""
-    _check_object(g)
+    _expect(GradedMF, g)
     _same_potential(cat, g)
 
 
@@ -143,8 +137,7 @@ class _System:
     """
 
     def __init__(self, src, dst):
-        _check_object(src)
-        _check_object(dst)
+        _expect(GradedMF, src, dst)
         _same_potential(src, dst)
         self.src = src
         self.dst = dst
@@ -459,6 +452,8 @@ def is_indecomposable(g):
 
 # ---------------------------------------------------------------------------
 # idempotent splitting
+# The engine no longer calls this block (decompose takes complements as
+# reduced cones); it stays because the benchmark tracer wraps it by name.
 
 
 def _constant_part(mat, sleft, sright):
@@ -624,10 +619,8 @@ def lift_idempotent(g, e):
 
 
 def _retraction(cat, g, k, n):
-    """A retraction of g onto M(k, n): (M, End M, incl, proj, gamma) or None.
-
-    gamma, the coordinate of proj o incl in the one-dimensional End(M), is
-    the first nonzero one over the witness bases of Hom(M, g) and Hom(g, M).
+    """incl: M(k, n) -> g with a proj: g -> M making proj o incl != 0 in the
+    one-dimensional End(M), both from witness bases; None if there is none.
     """
     M = cat.object(k, n)
     P = hom_space(g, M)
@@ -639,9 +632,8 @@ def _retraction(cat, g, k, n):
     EM = _endomorphisms(cat, k, n)
     for incl in Iw.basis:
         for proj in P.basis:
-            gamma = EM.coordinates(compose(proj, incl))[0]
-            if gamma:
-                return M, EM, incl, proj, gamma
+            if EM.coordinates(compose(proj, incl))[0]:
+                return incl
     return None
 
 
@@ -862,28 +854,36 @@ def ar_triangle_check(cat, k):
 # decomposition into catalog objects
 
 
+@_per_catalog
+def _vertex_slots(cat, k):
+    """Counters of M(k, 0)'s slot offsets per half, as ints on the h scale."""
+    return [Counter(q.numerator * cat.h // q.denominator for q in slots)
+            for slots in cat.slot_values(k)]
+
+
 def _candidate_classes(cat, work):
     """(phase, k, n) candidates whose slot multisets embed into work's.
 
     An embedded candidate puts its top first-half slot on one of work's
     first-half slots, so one phase per distinct slot value is tried; one
-    early-exit count test covers both halves.  Sorted by (-phase, k).
+    early-exit count test covers both halves.  Slots are ints on the h scale,
+    where work's off-lattice slots meet no candidate's.  Sorted by (-phase, k).
     """
-    s0 = Counter(work.s_row)
-    s1 = Counter(work.sbar_row)
+    D, degrees = work.h_degrees()
+    s0 = Counter(s // D for s in degrees[:work.r] if not s % D)
+    s1 = Counter(s // D for s in degrees[work.r:] if not s % D)
     cands = []
     for k in cat.diagram.vertices:
-        slots0, slots1 = cat.slot_values(k)
-        halves = ((Counter(slots0), s0), (Counter(slots1), s1))
-        top = max(slots0)
+        want0, want1 = _vertex_slots(cat, k)
+        top = max(want0)
         for v in s0:
-            phase = v - top
-            if not all(have[q + phase] >= c
-                       for want, have in halves for q, c in want.items()):
+            c = v - top
+            if not (all(s0[q + c] >= m for q, m in want0.items())
+                    and all(s1[q + c] >= m for q, m in want1.items())):
                 continue
-            n = cat.twist(k, phase * cat.h)
+            n = cat.twist(k, c)
             if n is not None:
-                cands.append((phase, k, n))
+                cands.append((Fraction(c, cat.h), k, n))
     cands.sort(key=lambda t: (-t[0], t[1]))
     return cands
 
@@ -891,33 +891,25 @@ def _candidate_classes(cat, work):
 def _find_summand(cat, work):
     """Find one catalog summand of reduced work: (k, n, complement) or None.
 
-    A candidate of work's size is a summand exactly when it is work itself
-    (see :func:`_isomorphic`); it leaves the empty complement and needs no
-    split.  A smaller M that work retracts onto gives a homotopy idempotent
-    e = incl o proj' with image M, and its strict lift ehat is homotopic to
-    e, so the image of ehat is M plus a contractible part.  The images of
-    ehat and of 1 - ehat are strict summands of reduced work, hence reduced
-    themselves; a reduced object homotopy equivalent to M is isomorphic to
-    it, so the complement has exactly work.r - M.r slots.  Only the
-    complement is split, and that count is checked: it fails exactly when
-    a split of ehat would show an image of the wrong size.
+    A retraction onto M makes incl: M -> work a split mono, so work is
+    M + cone(incl); the reduced cone is reduced and homotopy equivalent to
+    the complement, hence isomorphic to it.  A candidate of work's size is
+    work itself (see :func:`_isomorphic`) and leaves the empty complement.
     """
     for _, k, n in _candidate_classes(cat, work):
         if 2 * cat.nu(k) == work.r:
             if _isomorphic(cat, work, k, n):
                 return k, n, GradedMF(work.f, work.W, (), (), (), label="0")
             continue
-        found = _retraction(cat, work, k, n)
-        if found is None:
+        incl = _retraction(cat, work, k, n)
+        if incl is None:
             continue
-        M, EM, incl, proj, gamma = found
-        id_coord = EM.coordinates(identity_morphism(M))[0]
-        e = compose(incl, morphism_scale(id_coord / gamma, proj))
-        ehat = lift_idempotent(work, e)
-        rest, _, _ = _strict_split(work, morphism_sub(identity_morphism(work), ehat))
-        if rest.r != work.r - M.r:
-            raise ArithmeticError("complement of M^%d_%d has %d slots, not %d"
-                                  % (k, n, rest.r, work.r - M.r))
+        rest = reduce(cone(incl))
+        bad = verify_mf(rest) + verify_grading(rest)
+        if rest.r != work.r - incl.src.r:
+            bad.append("%d slots, not %d" % (rest.r, work.r - incl.src.r))
+        if bad:
+            raise ArithmeticError("complement of M^%d_%d: %s" % (k, n, bad[0]))
         return k, n, rest
     return None
 
@@ -926,8 +918,8 @@ def decompose(cat, g):
     """Split g into catalog classes: sorted list of (k, n), repetitions kept.
 
     g is reduced first; summands are found through nonzero Hom pairings
-    (a retract onto an indecomposable is a direct summand) and split off by
-    exact idempotents until nothing remains.
+    (a retract onto an indecomposable is a direct summand) and split off as
+    reduced cones until nothing remains.
     """
     _on_catalog(cat, g)
     work = reduce(g)

@@ -205,6 +205,14 @@ class GradedMF:
         return "GradedMF(%s)" % tag
 
 
+def _expect(cls, *args):
+    """PolyError unless every argument is a ``cls``."""
+    for x in args:
+        if not isinstance(x, cls):
+            raise PolyError("expected a %s, got %s"
+                            % (cls.__name__, type(x).__name__))
+
+
 def verify_mf(g):
     """Check phi*psi = psi*phi = f*1; returns a list of violation strings."""
     out = []
@@ -358,6 +366,7 @@ def verify_morphism(m):
 
 def cone(m):
     """Mapping cone of a closed morphism; fits X -> Y -> cone -> TX."""
+    _expect(Morphism, m)
     X, Y = m.src, m.dst
     phi_c = mat_block(
         [
@@ -381,6 +390,7 @@ def cone(m):
 
 
 def direct_sum(a, b):
+    _expect(GradedMF, a, b)
     if a.f != b.f or a.W != b.W:
         raise PolyError("direct sum needs matching potential and weights")
     phi = mat_block([[a.phi, None], [None, b.phi]])
@@ -478,6 +488,7 @@ def reduce(g):
     until neither block contains a constant.  The zero object comes back
     with r = 0.
     """
+    _expect(GradedMF, g)
     phi, psi = g.phi, g.psi
     s_row, sbar_row = list(g.s_row), list(g.sbar_row)
     while True:
@@ -592,6 +603,7 @@ def _frac_str(fr):
 
 def mf_to_json(g):
     """Plain-dict form: expression strings for entries, 'p/q' for degrees."""
+    _expect(GradedMF, g)
     return {
         "type": g.label or "mf",
         "f": poly_to_str(g.f),

@@ -21,8 +21,8 @@ import mpmath
 from .catalog import get_catalog, window_bounds
 from .gring import GaussRat, Poly, PolyError
 from .homcat import _per_catalog, class_hom_dim, decompose, t_image
-from .mf import GradedMF, Morphism, direct_sum, verify_morphism
-from .quiver import path_hom_dims
+from .mf import GradedMF, Morphism, _expect, direct_sum, verify_morphism
+from .quiver import DynkinQuiver, path_hom_dims
 
 __all__ = [
     "CentralCharge",
@@ -108,6 +108,7 @@ class HNFiltration:
 
 def central_charge(g):
     """Z(g) = Tr e^{i*pi*S} with exact mean phase and exact offsets."""
+    _expect(GradedMF, g)
     if g.r == 0:
         return CentralCharge(complex(0), None, ())
     value = sum(cmath.exp(1j * cmath.pi * float(s)) for s in g.S)
@@ -149,8 +150,7 @@ def _const_entry(flag):
 
 def _catalog_for(g):
     """Recover the ADE catalog a graded object belongs to from (W, f)."""
-    if not isinstance(g, GradedMF):
-        raise PolyError("expected a GradedMF, got %s" % type(g).__name__)
+    _expect(GradedMF, g)
     a, b, c, h = g.W.a, g.W.b, g.W.c, g.W.h
     cat = None
     if (a, c) == (1, h - b):
@@ -330,6 +330,7 @@ def exceptional_collection(type_str, b, quiver):
     Propagates n_1 = 0 through the tree: an arrow from u to v forces
     phase(v) = phase(u) + 1/h, which fixes every twist uniquely.
     """
+    _expect(DynkinQuiver, quiver)
     cat = get_catalog(type_str, b)
     dia = quiver.diagram
     if (dia.letter, dia.l) != (cat.letter, cat.l):

@@ -214,7 +214,7 @@ def e_multiset(l, k, kp):
 def golden_multiset(type_str, k, kp):
     """Reference multiset c(k, k') as a sorted ((c, mult), ...) tuple."""
     letter, l = parse_type(type_str)
-    if not (1 <= k <= l and 1 <= kp <= l):
+    if not all(isinstance(v, int) and 1 <= v <= l for v in (k, kp)):
         raise PolyError("vertex out of range for %s" % type_str)
     if letter == "A":
         return a_multiset(l, k, kp)
@@ -236,7 +236,7 @@ def grid(type_str):
 def serre_vertex(type_str, k):
     """Vertex carrying the Serre dual of the orbit at k (an involution)."""
     letter, l = parse_type(type_str)
-    if not 1 <= k <= l:
+    if not (isinstance(k, int) and 1 <= k <= l):
         raise PolyError("vertex out of range for %s" % type_str)
     if letter == "A":
         return l + 1 - k

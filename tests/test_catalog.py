@@ -149,6 +149,11 @@ def test_unknown_types_and_vertices_are_rejected():
         get_catalog("Z4")
     with pytest.raises(PolyError):
         get_catalog("A3", 7)
+    for b in ("x", 1.5):
+        with pytest.raises(PolyError):
+            get_catalog("A3", b=b)
+        with pytest.raises(PolyError):
+            Catalog("A3", b=b)
     with pytest.raises(PolyError):
         get_catalog("D3")
     cat = get_catalog("D5")

@@ -28,6 +28,7 @@ from mfcat.homcat import (
     hom_space,
     identify_object,
     is_indecomposable,
+    morphism_scale,
     morphism_scale_poly,
     morphism_sub,
     serre_duality_report,
@@ -517,7 +518,8 @@ def test_a_catalog_object_is_settled_by_size_without_a_split(monkeypatch):
 
 
 def test_a_sum_of_s_objects_splits_s_minus_one_times(monkeypatch):
-    calls = _count_calls(monkeypatch, "lift_idempotent", "_strict_split")
+    calls = _count_calls(monkeypatch, "cone", "lift_idempotent",
+                         "_strict_split")
     rng = random.Random(11)
     for t, b in (("A4", 2), ("D5", None), ("E6", None)):
         cat = get_catalog(t, b)
@@ -528,8 +530,47 @@ def test_a_sum_of_s_objects_splits_s_minus_one_times(monkeypatch):
             for log in calls.values():
                 del log[:]
             assert sorted(decompose(cat, g)) == sorted(picks)
-            assert len(calls["lift_idempotent"]) == s - 1
-            assert len(calls["_strict_split"]) == s - 1
+            assert len(calls["cone"]) == s - 1
+            assert calls["lift_idempotent"] == calls["_strict_split"] == []
+
+
+def _split_complement(cat, work, k, n):
+    """The complement of M(k, n) in work the long way: lift e, split 1 - e."""
+    M = cat.object(k, n)
+    incl = homcat._retraction(cat, work, k, n)
+    EM = homcat._endomorphisms(cat, k, n)
+    for proj in hom_space(work, M).basis:
+        gamma = EM.coordinates(compose(proj, incl))[0]
+        if gamma:
+            break
+    id_coord = EM.coordinates(identity_morphism(M))[0]
+    e = compose(incl, morphism_scale(id_coord / gamma, proj))
+    ehat = homcat.lift_idempotent(work, e)
+    rest, _, _ = homcat._strict_split(
+        work, morphism_sub(identity_morphism(work), ehat))
+    return rest
+
+
+def test_cone_complements_match_the_split_idempotent_reference():
+    rng = random.Random(12)
+    checked = 0
+    for t, b in (("A4", 2), ("D5", None), ("E6", None)):
+        cat = get_catalog(t, b)
+        window = cat.objects_in_window(0, 2)
+        for s in (2, 3, 4):
+            picks = [rng.choice(window)[1:] for _ in range(s)]
+            work = reduce(_freduce(direct_sum,
+                                   [cat.object(k, n) for k, n in picks]))
+            while work.r:
+                k, n, rest = homcat._find_summand(cat, work)
+                if rest.r:
+                    ref = _split_complement(cat, work, k, n)
+                    assert sorted(rest.s_row) == sorted(ref.s_row)
+                    assert sorted(rest.sbar_row) == sorted(ref.sbar_row)
+                    assert decompose(cat, rest) == decompose(cat, ref)
+                    checked += 1
+                work = rest
+    assert checked == 3 * (1 + 2 + 3)
 
 
 def test_identify_object_of_an_unequal_copy_goes_through_a_retraction(
@@ -545,13 +586,13 @@ def test_identify_object_of_an_unequal_copy_goes_through_a_retraction(
 
 
 def test_a_complement_of_the_wrong_size_is_an_engine_error(monkeypatch):
-    real = homcat._strict_split
+    real = homcat.cone
 
-    def whole(g, e):
-        _, incl, proj = real(g, e)
-        return g, incl, proj  # the complement keeps every slot of g
+    def whole(m):
+        # the complement keeps every slot of the summand as well
+        return direct_sum(real(m), m.src)
 
-    monkeypatch.setattr(homcat, "_strict_split", whole)
+    monkeypatch.setattr(homcat, "cone", whole)
     cat = get_catalog("D5")
     g = direct_sum(cat.object(1, 0), cat.object(3, 1))
     with pytest.raises(ArithmeticError, match="complement"):

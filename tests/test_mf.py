@@ -257,13 +257,18 @@ def test_shape_errors_raise_polyerror():
     for n in (1.5, "x", Fraction(1, 2), None):
         with pytest.raises(PolyError):
             tau(g, n)
+    for call in (lambda: cone(g), lambda: mf_reduce("x"),
+                 lambda: direct_sum(g, "x"), lambda: direct_sum("x", g),
+                 lambda: mf_to_json("x")):
+        with pytest.raises(PolyError):
+            call()
 
 
 _OPTIMIZED_PROBE = """
 from mfcat.catalog import get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
 from mfcat.homcat import hom_dim
-from mfcat.mf import GradedMF, mat_block, mat_mul
+from mfcat.mf import GradedMF, cone, mat_block, mat_mul, reduce
 one = ((Poly.const(1),),)
 X = get_catalog("A2").object(1, 0)
 twice = GradedMF(X.f * 2, X.W, X.phi, [[p * 2 for p in row] for row in X.psi],
@@ -273,7 +278,9 @@ for name, call in (
         ("mat_block", lambda: mat_block([[one, one + one]])),
         ("GaussRat", lambda: GaussRat(GaussRat(1), 5)),
         ("GaussRat(0.5)", lambda: GaussRat(0.5)),
-        ("hom_dim", lambda: hom_dim(X, twice))):
+        ("hom_dim", lambda: hom_dim(X, twice)),
+        ("cone", lambda: cone(X)),
+        ("reduce", lambda: reduce("x"))):
     try:
         call()
     except PolyError:
@@ -291,4 +298,5 @@ def test_shape_checks_survive_python_O():
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
         "mat_mul rejected", "mat_block rejected", "GaussRat rejected",
-        "GaussRat(0.5) rejected", "hom_dim rejected"]
+        "GaussRat(0.5) rejected", "hom_dim rejected", "cone rejected",
+        "reduce rejected"]

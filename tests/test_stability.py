@@ -173,6 +173,15 @@ def test_stability_axioms_reject_bad_arguments_with_polyerror(kwargs):
 def test_hn_filtration_rejects_a_non_object_with_polyerror():
     with pytest.raises(PolyError):
         hn_filtration("x")
+    with pytest.raises(PolyError):
+        central_charge("x")
+
+
+def test_exceptionality_rejects_a_non_quiver_with_polyerror():
+    with pytest.raises(PolyError):
+        exceptional_collection("A3", 1, "x")
+    with pytest.raises(PolyError):
+        strong_exceptionality_check("A3", 1, "x")
 
 
 def test_every_heart_object_maps_onto_a_projective_cover():

@@ -110,3 +110,7 @@ def test_vertex_range_is_validated():
         golden_multiset("E6", 1, 7)
     with pytest.raises(PolyError):
         serre_vertex("D5", 6)
+    with pytest.raises(PolyError):
+        golden_multiset("E6", 1, "a")
+    with pytest.raises(PolyError):
+        serre_vertex("E6", "a")
