@@ -108,7 +108,10 @@ class DynkinDiagram:
 
 
 def dynkin_distance(type_str, k, kprime, b=None):
-    return get_catalog(type_str, b).diagram.distance(k, kprime)
+    cat = get_catalog(type_str, b)
+    cat._check_vertex(k)
+    cat._check_vertex(kprime)
+    return cat.diagram.distance(k, kprime)
 
 
 def principal_decomposition(type_str, b=None):
@@ -604,4 +607,6 @@ def _catalog_cached(type_str, b):
 def get_catalog(type_str, b=None):
     letter, l = parse_type(type_str)
     b = (1 if b is None else b) if letter == "A" else None
+    if not isinstance(b, (int, type(None))):  # the cache key must hash
+        raise PolyError("b must satisfy 1 <= b <= l for A types")
     return _catalog_cached("%s%d" % (letter, l), b)

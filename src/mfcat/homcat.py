@@ -333,6 +333,7 @@ def hom_dim(src, dst):
 
 def compose(after, before):
     """after o before (apply ``before`` first)."""
+    _expect(Morphism, after, before)
     if after.src.S != before.dst.S or after.src.r != before.dst.r:
         raise PolyError("composition of incompatible morphisms")
     return Morphism(before.src, after.dst,

@@ -215,6 +215,7 @@ def _expect(cls, *args):
 
 def verify_mf(g):
     """Check phi*psi = psi*phi = f*1; returns a list of violation strings."""
+    _expect(GradedMF, g)
     out = []
     r = g.r
     for name, prod in (
@@ -234,6 +235,7 @@ def verify_mf(g):
 
 def verify_grading(g):
     """Check entrywise homogeneity against S; returns violation strings."""
+    _expect(GradedMF, g)
     out = []
     if g.f and weighted_degree(g.f, g.W) != 2:
         out.append("f is not homogeneous of degree 2")
@@ -272,6 +274,7 @@ def tau(g, n=1, label=""):
 
     The blocks are g's own, so the result shares g's block memo.
     """
+    _expect(GradedMF, g)
     if not isinstance(n, int):
         raise PolyError("tau needs an int twist, got %r" % (n,))
     step = Fraction(2 * n, g.W.h)
@@ -282,11 +285,13 @@ def tau(g, n=1, label=""):
 
 def shift_T(g):
     """Odd shift: swaps the blocks with a sign and the S halves with +1."""
+    _expect(GradedMF, g)
     S = [s + 1 for s in g.sbar_row] + [s + 1 for s in g.s_row]
     return GradedMF(g.f, g.W, mat_neg(g.psi), mat_neg(g.phi), S)
 
 
 def shift_T_inverse(g):
+    _expect(GradedMF, g)
     S = [s - 1 for s in g.sbar_row] + [s - 1 for s in g.s_row]
     return GradedMF(g.f, g.W, mat_neg(g.psi), mat_neg(g.phi), S)
 
@@ -333,6 +338,7 @@ class Morphism:
 
 
 def identity_morphism(g):
+    _expect(GradedMF, g)
     return Morphism(g, g, mat_identity(g.r), mat_identity(g.r))
 
 
@@ -423,91 +429,75 @@ def _unit_of(p):
     return None
 
 
-def _find_unit(mat):
-    for i, row in enumerate(mat):
-        for j, p in enumerate(row):
-            u = _unit_of(p)
-            if u is not None:
-                return i, j, u
-    return None
+def _eliminate(A, B, rows, cols, i, j, u):
+    """Clear row i and column j of A beside the unit pivot A[i][j], in place.
 
-
-def _eliminate(phi, psi, i, j, u):
-    """Split off the unit pivot phi[i][j]; returns the smaller (phi, psi).
-
-    Row/column operations on phi are mirrored inversely on psi so both
-    products are preserved; the complementary psi row/column vanish
-    automatically because psi*phi and phi*psi stay scalar.
+    rows and cols are A's live row and column indices (B's live columns and
+    rows).  Operations on A are mirrored inversely on B, skipping zeros, so
+    both products are preserved; B's row j and column i vanish with them
+    because AB and BA stay scalar.  The pivot then leaves the live lists.
     """
-    phi = [list(row) for row in phi]
-    psi = [list(row) for row in psi]
-    r = len(phi)
     uinv = u.inv()
-    for k in range(r):
-        if k == j:
-            continue
-        c = phi[i][k]
-        if not c:
-            continue
-        t = c * uinv
-        for m in range(r):
-            phi[m][k] = phi[m][k] - t * phi[m][j]
-        for m in range(r):
-            psi[j][m] = psi[j][m] + t * psi[k][m]
-    for k in range(r):
-        if k == i:
-            continue
-        c = phi[k][j]
-        if not c:
+    Ai, Bj = A[i], B[j]
+    for k in cols:
+        c = Ai[k]
+        if k == j or not c:
             continue
         t = c * uinv
-        for m in range(r):
-            phi[k][m] = phi[k][m] - t * phi[i][m]
-        for m in range(r):
-            psi[m][i] = psi[m][i] + t * psi[m][k]
-    for k in range(r):
-        if ((phi[i][k] and k != j) or (phi[k][j] and k != i)
-                or (psi[j][k] and k != i) or (psi[k][i] and k != j)):
-            raise ArithmeticError("unit elimination left a nonzero entry "
-                                  "beside the pivot")
-    new_phi = [
-        [phi[a][b] for b in range(r) if b != j] for a in range(r) if a != i
-    ]
-    # psi is indexed oppositely (its rows pair with phi's columns), so the
-    # complementary deletion is row j, column i.
-    new_psi = [
-        [psi[a][b] for b in range(r) if b != i] for a in range(r) if a != j
-    ]
-    return new_phi, new_psi
+        for m in rows:
+            a = A[m][j]
+            if a:
+                A[m][k] = A[m][k] - t * a
+        Bk = B[k]
+        for m in rows:
+            b = Bk[m]
+            if b:
+                Bj[m] = Bj[m] + t * b
+    for k in rows:
+        c = A[k][j]
+        if k == i or not c:
+            continue
+        t = c * uinv
+        A[k][j] = A[k][j] - t * Ai[j]  # row i is zero beside the pivot now
+        for m in cols:
+            Bm = B[m]
+            b = Bm[k]
+            if b:
+                Bm[i] = Bm[i] + t * b
+    if (any(k != j and (Ai[k] or B[k][i]) for k in cols)
+            or any(k != i and (A[k][j] or Bj[k]) for k in rows)):
+        raise ArithmeticError("unit elimination left a nonzero entry "
+                              "beside the pivot")
+    rows.remove(i)
+    cols.remove(j)
 
 
 def reduce(g):
     """Strip trivial (unit-pivot) summands; homotopy-equivalent result.
 
-    Scans row-major for the first unit entry, in phi then psi, and repeats
-    until neither block contains a constant.  The zero object comes back
-    with r = 0.
+    Scans the live entries row-major for the first unit, in phi then psi,
+    and repeats until neither block contains a constant.  The pivots'
+    rows and columns are dropped once, at the end.  The zero object comes
+    back with r = 0.
     """
     _expect(GradedMF, g)
-    phi, psi = g.phi, g.psi
-    s_row, sbar_row = list(g.s_row), list(g.sbar_row)
+    phi = [list(row) for row in g.phi]
+    psi = [list(row) for row in g.psi]
+    live0 = list(range(g.r))  # phi rows = psi columns
+    live1 = list(range(g.r))  # phi columns = psi rows
+    blocks = ((phi, psi, live0, live1), (psi, phi, live1, live0))
     while True:
-        hit = _find_unit(phi)
-        if hit is not None:
-            i, j, u = hit
-            phi, psi = _eliminate(phi, psi, i, j, u)
-            del s_row[i]
-            del sbar_row[j]
-            continue
-        hit = _find_unit(psi)
-        if hit is not None:
-            i, j, u = hit
-            psi, phi = _eliminate(psi, phi, i, j, u)
-            del sbar_row[i]
-            del s_row[j]
-            continue
-        break
-    return GradedMF(g.f, g.W, phi, psi, s_row + sbar_row, label=g.label)
+        pivot = next(((A, B, rows, cols, i, j, u)
+                      for A, B, rows, cols in blocks
+                      for i in rows for j in cols
+                      if (u := _unit_of(A[i][j])) is not None), None)
+        if pivot is None:
+            break
+        _eliminate(*pivot)
+    return GradedMF(g.f, g.W, [[phi[a][b] for b in live1] for a in live0],
+                    [[psi[a][b] for b in live0] for a in live1],
+                    [g.S[a] for a in live0] + [g.S[g.r + b] for b in live1],
+                    label=g.label)
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,9 @@ def hn_filtration(g):
         raise ArithmeticError("piece phases are not strictly decreasing")
     triangles = []
     below = []
+    prev_obj = _empty_object(cat)
     for phase, factors in pieces:
         piece_obj = _sum_object(cat, factors)
-        prev_obj = _sum_object(cat, below)
         below.extend(factors)
         cur_obj = _sum_object(cat, below)
         incl = _block_inclusion(prev_obj, cur_obj)
@@ -198,6 +198,7 @@ def hn_filtration(g):
             if errs:
                 raise ArithmeticError("filtration witness not strict: %s" % errs[0])
         triangles.append((incl, proj))
+        prev_obj = cur_obj
     frozen = tuple((phase, tuple(factors)) for phase, factors in pieces)
     return HNFiltration(g, frozen, tuple(triangles))
 

@@ -5,8 +5,9 @@ Coxeter numbers, and the vertex involution are restated locally; the
 Hom-degree grids are regenerated from the reflection recursion alone;
 and the brute-force morphism counter assembles and solves its linear
 systems densely with sympy (its own pivoting) instead of the package
-kernel.  Tests compare package output against these, never the other
-way around.
+kernel.  The unit-entry reduction keeps its first form, which copies and
+rebuilds both blocks at every pivot.  Tests compare package output
+against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from collections import Counter
 from fractions import Fraction
 
 import sympy
+
+from mfcat.mf import GradedMF, _expect
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +315,102 @@ def sympy_hom_dim(src, dst, weights, h):
         rows.append([row.get(pos, 0) for pos in range(len(svars))])
     B = sympy.Matrix(rows)
     return nullity - B.rank()
+
+
+# ---------------------------------------------------------------------------
+# unit-entry reduction, as first written (fresh block copies per pivot)
+# ---------------------------------------------------------------------------
+
+
+def _unit_of(p):
+    """The coefficient when p is a nonzero constant, else None."""
+    if len(p.terms) == 1 and (0, 0, 0) in p.terms:
+        return p.terms[(0, 0, 0)]
+    return None
+
+
+def _find_unit(mat):
+    for i, row in enumerate(mat):
+        for j, p in enumerate(row):
+            u = _unit_of(p)
+            if u is not None:
+                return i, j, u
+    return None
+
+
+def _eliminate(phi, psi, i, j, u):
+    """Split off the unit pivot phi[i][j]; returns the smaller (phi, psi).
+
+    Row/column operations on phi are mirrored inversely on psi so both
+    products are preserved; the complementary psi row/column vanish
+    automatically because psi*phi and phi*psi stay scalar.
+    """
+    phi = [list(row) for row in phi]
+    psi = [list(row) for row in psi]
+    r = len(phi)
+    uinv = u.inv()
+    for k in range(r):
+        if k == j:
+            continue
+        c = phi[i][k]
+        if not c:
+            continue
+        t = c * uinv
+        for m in range(r):
+            phi[m][k] = phi[m][k] - t * phi[m][j]
+        for m in range(r):
+            psi[j][m] = psi[j][m] + t * psi[k][m]
+    for k in range(r):
+        if k == i:
+            continue
+        c = phi[k][j]
+        if not c:
+            continue
+        t = c * uinv
+        for m in range(r):
+            phi[k][m] = phi[k][m] - t * phi[i][m]
+        for m in range(r):
+            psi[m][i] = psi[m][i] + t * psi[m][k]
+    for k in range(r):
+        if ((phi[i][k] and k != j) or (phi[k][j] and k != i)
+                or (psi[j][k] and k != i) or (psi[k][i] and k != j)):
+            raise ArithmeticError("unit elimination left a nonzero entry "
+                                  "beside the pivot")
+    new_phi = [
+        [phi[a][b] for b in range(r) if b != j] for a in range(r) if a != i
+    ]
+    # psi is indexed oppositely (its rows pair with phi's columns), so the
+    # complementary deletion is row j, column i.
+    new_psi = [
+        [psi[a][b] for b in range(r) if b != i] for a in range(r) if a != j
+    ]
+    return new_phi, new_psi
+
+
+def reduce_reference(g):
+    """Strip trivial (unit-pivot) summands; homotopy-equivalent result.
+
+    Scans row-major for the first unit entry, in phi then psi, and repeats
+    until neither block contains a constant.  The zero object comes back
+    with r = 0.
+    """
+    _expect(GradedMF, g)
+    phi, psi = g.phi, g.psi
+    s_row, sbar_row = list(g.s_row), list(g.sbar_row)
+    while True:
+        hit = _find_unit(phi)
+        if hit is not None:
+            i, j, u = hit
+            phi, psi = _eliminate(phi, psi, i, j, u)
+            del s_row[i]
+            del sbar_row[j]
+            continue
+        hit = _find_unit(psi)
+        if hit is not None:
+            i, j, u = hit
+            psi, phi = _eliminate(psi, phi, i, j, u)
+            del sbar_row[i]
+            del s_row[j]
+            continue
+        break
+    return GradedMF(g.f, g.W, phi, psi, s_row + sbar_row, label=g.label)

@@ -16,6 +16,7 @@ from mfcat.catalog import (
 )
 from mfcat.gring import PolyError, ade_polynomial
 from mfcat.mf import verify_grading, verify_mf
+from mfcat.stability import check_stability_axioms
 
 from helpers import CATALOG_SCOPE
 
@@ -159,6 +160,21 @@ def test_unknown_types_and_vertices_are_rejected():
     cat = get_catalog("D5")
     with pytest.raises(PolyError):
         cat.object(6, 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: get_catalog("A3", b=[1]), id="get_catalog-list"),
+    pytest.param(lambda: get_catalog("A3", b={}), id="get_catalog-dict"),
+    pytest.param(lambda: principal_decomposition("A3", b=[1]),
+                 id="principal_decomposition"),
+    pytest.param(lambda: check_stability_axioms("A3", b=[1], trials=0),
+                 id="check_stability_axioms"),
+    pytest.param(lambda: dynkin_distance("A3", 9, 1), id="distance-range"),
+    pytest.param(lambda: dynkin_distance("A3", "a", 1), id="distance-type"),
+])
+def test_unhashable_b_and_bad_distance_vertices_raise_polyerror(call):
+    with pytest.raises(PolyError):
+        call()
 
 
 def test_catalogs_are_cached_and_polynomials_match():

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce as _freduce
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mfcat
+from mfcat import homcat
 from mfcat.catalog import get_catalog
 from mfcat.gring import Poly, PolyError, parse_poly, poly_to_str
-from mfcat.homcat import hom_space
+from mfcat.homcat import compose, decompose, hom_space
 from mfcat.mf import (
     GradedMF,
     Morphism,
@@ -36,6 +39,8 @@ from mfcat.mf import (
     verify_mf,
     verify_morphism,
 )
+
+from oracles import reduce_reference
 
 SPOTS = (("A4", 2, 2), ("A4", 1, 4), ("D4", None, 1), ("D5", None, 3),
          ("E6", None, 5), ("E7", None, 7))
@@ -137,6 +142,45 @@ def test_cone_of_identity_contracts_to_zero():
     for g in _objects():
         C = mf_reduce(cone(identity_morphism(g)))
         assert C.r == 0
+
+
+def _terms(g):
+    """Every entry's term items, in dict order."""
+    return [tuple(p.terms.items()) for blk in (g.phi, g.psi)
+            for row in blk for p in row]
+
+
+def test_reduce_matches_the_copying_reference(monkeypatch):
+    inputs = [cone(identity_morphism(g)) for g in _objects()]
+    seen = []
+    monkeypatch.setattr(homcat, "reduce",
+                        lambda g: seen.append(g) or mf_reduce(g))
+    rng = random.Random(13)
+    for t, b in (("A4", 2), ("D5", None), ("E6", None)):
+        cat = get_catalog(t, b)
+        for k in cat.diagram.vertices:
+            X = cat.object(k, 0)
+            inputs.append(cone(hom_space(serre_inverse(X), X).basis[0]))
+        window = cat.objects_in_window(0, 2)
+        for s in (2, 3, 4):
+            parts = [cat.object(*rng.choice(window)[1:]) for _ in range(s)]
+            decompose(cat, _freduce(direct_sum, parts))
+    # decompose reduces the sum once and each split-off complement once
+    assert len(seen) == 3 * (2 + 3 + 4)
+    for g in inputs + seen:
+        got, want = mf_reduce(g), reduce_reference(g)
+        assert got == want and got.label == want.label
+        assert _terms(got) == _terms(want)
+
+
+def test_reduce_rejects_a_pivot_with_a_nonzero_neighbour():
+    # phi psi is not f*1, so the pivot's psi row keeps an entry
+    g = _objects()[0]
+    one, zero, x = Poly.const(1), Poly(), Poly.var("x")
+    bad = GradedMF(g.f, g.W, [[one, zero], [zero, x]],
+                   [[zero, one], [zero, zero]], g.S[:4])
+    with pytest.raises(ArithmeticError, match="beside the pivot"):
+        mf_reduce(bad)
 
 
 def test_direct_sum_layout_and_reduction():
@@ -262,13 +306,21 @@ def test_shape_errors_raise_polyerror():
                  lambda: mf_to_json("x")):
         with pytest.raises(PolyError):
             call()
+    m = identity_morphism(g)
+    for call in (lambda: tau("x"), lambda: shift_T("x"),
+                 lambda: shift_T_inverse("x"), lambda: serre("x"),
+                 lambda: serre_inverse("x"), lambda: verify_mf("x"),
+                 lambda: verify_grading("x"), lambda: identity_morphism("x"),
+                 lambda: compose(m, g), lambda: compose("x", m)):
+        with pytest.raises(PolyError):
+            call()
 
 
 _OPTIMIZED_PROBE = """
 from mfcat.catalog import get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
-from mfcat.homcat import hom_dim
-from mfcat.mf import GradedMF, cone, mat_block, mat_mul, reduce
+from mfcat.homcat import compose, hom_dim
+from mfcat.mf import GradedMF, cone, mat_block, mat_mul, reduce, tau
 one = ((Poly.const(1),),)
 X = get_catalog("A2").object(1, 0)
 twice = GradedMF(X.f * 2, X.W, X.phi, [[p * 2 for p in row] for row in X.psi],
@@ -280,7 +332,9 @@ for name, call in (
         ("GaussRat(0.5)", lambda: GaussRat(0.5)),
         ("hom_dim", lambda: hom_dim(X, twice)),
         ("cone", lambda: cone(X)),
-        ("reduce", lambda: reduce("x"))):
+        ("reduce", lambda: reduce("x")),
+        ("tau", lambda: tau("x")),
+        ("compose", lambda: compose(X, X))):
     try:
         call()
     except PolyError:
@@ -299,4 +353,4 @@ def test_shape_checks_survive_python_O():
     assert out.stdout.splitlines() == [
         "mat_mul rejected", "mat_block rejected", "GaussRat rejected",
         "GaussRat(0.5) rejected", "hom_dim rejected", "cone rejected",
-        "reduce rejected"]
+        "reduce rejected", "tau rejected", "compose rejected"]
