@@ -71,7 +71,7 @@ class DynkinDiagram:
         else:
             edges = _E_EDGES[l]
             base = _E_BASE[l]
-        if not 1 <= base <= l:
+        if not (isinstance(base, int) and 1 <= base <= l):
             raise PolyError("base vertex out of range")
         self.edges = edges
         self.base = base
@@ -486,6 +486,8 @@ class Catalog:
 
     def coord(self, k, n):
         """2n + sigma(k), the phase of M(k, n) on the h scale."""
+        if not isinstance(n, int):
+            raise PolyError("twist n must be an int, got %r" % (n,))
         return 2 * n + self.sigma(k)
 
     def twist(self, k, c, offset=0):

@@ -233,7 +233,8 @@ class Poly:
 
     @staticmethod
     def var(name):
-        return Poly.monomial({"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name])
+        i = _var_index(name)
+        return Poly.monomial([int(j == i) for j in range(3)])
 
     def is_zero(self):
         return not self.terms
@@ -310,7 +311,7 @@ class Poly:
         return out
 
     def diff(self, name):
-        idx = {"x": 0, "y": 1, "z": 2}[name]
+        idx = _var_index(name)
         terms = {}
         for e, c in self.terms.items():
             if e[idx] == 0:
@@ -325,6 +326,12 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % poly_to_str(self)
+
+
+def _var_index(name):
+    if name not in ("x", "y", "z"):
+        raise PolyError("unknown variable %r" % (name,))
+    return "xyz".index(name)
 
 
 X = Poly.var("x")
@@ -482,6 +489,8 @@ def _parse_expr(tk):
 
 def parse_poly(text):
     """Parse an expression into a canonical Poly (see grammar above)."""
+    if not isinstance(text, str):
+        raise PolyError("expected an expression string, got %r" % (text,))
     tk = _Tokens(text)
     p = _parse_expr(tk)
     if tk.peek() is not None:

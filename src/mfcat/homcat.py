@@ -4,8 +4,8 @@ A closed morphism between graded matrix factorizations is a matrix pair
 satisfying the cocycle equations; null-homotopic morphisms form the image
 of the boundary map.  Both are finite linear problems over Q(i) once the
 grading pins the admissible monomials of every entry, so Hom dimensions,
-witness bases, endomorphism algebras, idempotent splittings and
-Auslander-Reiten triangles all reduce to exact rank computations.
+witness bases, endomorphism algebras and Auslander-Reiten triangles all
+reduce to exact rank computations.
 """
 
 from __future__ import annotations
@@ -341,12 +341,14 @@ def compose(after, before):
                     mat_mul(after.phi1, before.phi1))
 
 
+def _mat_add(A, B):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
 def morphism_add(a, b):
-    phi0 = tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a.phi0, b.phi0))
-    phi1 = tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a.phi1, b.phi1))
-    return Morphism(a.src, a.dst, phi0, phi1)
+    _expect(Morphism, a, b)
+    return Morphism(a.src, a.dst, _mat_add(a.phi0, b.phi0),
+                    _mat_add(a.phi1, b.phi1))
 
 
 def morphism_sub(a, b):
@@ -356,12 +358,11 @@ def morphism_sub(a, b):
 def morphism_scale(c, m):
     if not isinstance(c, (int, Fraction, GaussRat)):
         raise PolyError("scalar expected")
-    phi0 = tuple(tuple(p * c for p in row) for row in m.phi0)
-    phi1 = tuple(tuple(p * c for p in row) for row in m.phi1)
-    return Morphism(m.src, m.dst, phi0, phi1)
+    return morphism_scale_poly(Poly.const(c), m)
 
 
 def morphism_eq(a, b):
+    _expect(Morphism, a, b)
     return a.phi0 == b.phi0 and a.phi1 == b.phi1
 
 
@@ -372,11 +373,9 @@ def boundary_of(src, dst, hA, hB):
     diagonal; the boundary is (dst.phi*hB + hA*src.psi,
     dst.psi*hA + hB*src.phi).
     """
-    b0 = tuple(tuple(x + y for x, y in zip(ra, rb))
-               for ra, rb in zip(mat_mul(dst.phi, hB), mat_mul(hA, src.psi)))
-    b1 = tuple(tuple(x + y for x, y in zip(ra, rb))
-               for ra, rb in zip(mat_mul(dst.psi, hA), mat_mul(hB, src.phi)))
-    return Morphism(src, dst, b0, b1)
+    return Morphism(src, dst,
+                    _mat_add(mat_mul(dst.phi, hB), mat_mul(hA, src.psi)),
+                    _mat_add(mat_mul(dst.psi, hA), mat_mul(hB, src.phi)))
 
 
 def jacobi_homotopy(m, name):
@@ -385,6 +384,7 @@ def jacobi_homotopy(m, name):
     Returns (hA, hB) with boundary exactly equal to the scaled morphism:
     hA = phi0 * d(src.phi), hB = phi1 * d(src.psi).
     """
+    _expect(Morphism, m)
     if name not in _VARS:
         raise PolyError("unknown variable %r" % (name,))
     src = m.src
@@ -397,10 +397,9 @@ def jacobi_homotopy(m, name):
 
 def check_jacobi_annihilation(m):
     """Verify d_v f * m = boundary(jacobi_homotopy(m, v)) for v in x, y, z."""
-    f = m.src.f
     for name in _VARS:
         hA, hB = jacobi_homotopy(m, name)
-        target = morphism_scale_poly(f.diff(name), m)
+        target = morphism_scale_poly(m.src.f.diff(name), m)
         got = boundary_of(m.src, m.dst, hA, hB)
         if not morphism_eq(got, target):
             return False
@@ -409,6 +408,7 @@ def check_jacobi_annihilation(m):
 
 def morphism_scale_poly(p, m):
     """Multiply a morphism by a polynomial (an R-module action)."""
+    _expect(Morphism, m)
     phi0 = tuple(tuple(p * q for q in row) for row in m.phi0)
     phi1 = tuple(tuple(p * q for q in row) for row in m.phi1)
     return Morphism(m.src, m.dst, phi0, phi1)
@@ -620,21 +620,22 @@ def lift_idempotent(g, e):
 
 
 def _retraction(cat, g, k, n):
-    """incl: M(k, n) -> g with a proj: g -> M making proj o incl != 0 in the
-    one-dimensional End(M), both from witness bases; None if there is none.
+    """incl: M(k, n) -> g with a proj: g -> M making proj o incl != 0 in
+    End(M), both from witness bases; None if there is none.
+
+    M is reduced, so a null-homotopic M -> M has all entries in (x, y, z);
+    End(M) = k*id, so [proj o incl] = c*[id] with c the constant term of
+    the (0, 0) entry of (proj o incl).phi0, a sum of constant products.
     """
     M = cat.object(k, n)
     P = hom_space(g, M)
     if P.dim == 0:
         return None
-    Iw = hom_space(M, g)
-    if Iw.dim == 0:
-        return None
-    EM = _endomorphisms(cat, k, n)
-    for incl in Iw.basis:
-        for proj in P.basis:
-            if EM.coordinates(compose(proj, incl))[0]:
-                return incl
+    rows = [[p.constant_term() for p in proj.phi0[0]] for proj in P.basis]
+    for incl in hom_space(M, g).basis:
+        col = [line[0].constant_term() for line in incl.phi0]
+        if any(sum((a * b for a, b in zip(row, col)), ZERO) for row in rows):
+            return incl
     return None
 
 
@@ -673,13 +674,6 @@ def _per_catalog(fn):
         return cat.memo[key]
 
     return memoized
-
-
-@_per_catalog
-def _endomorphisms(cat, k, n):
-    """End(M(k, n)); its basis is canonical, so reuse changes nothing."""
-    M = cat.object(k, n)
-    return hom_space(M, M)
 
 
 @_per_catalog

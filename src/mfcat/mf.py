@@ -145,9 +145,12 @@ class GradedMF:
     def __init__(self, f, W, phi, psi, S, label=""):
         self.f = f
         self.W = W
-        self.phi = mat_freeze(phi)
-        self.psi = mat_freeze(psi)
-        self.S = tuple(Fraction(s) for s in S)
+        try:
+            self.phi = mat_freeze(phi)
+            self.psi = mat_freeze(psi)
+            self.S = tuple(Fraction(s) for s in S)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PolyError("malformed blocks or degrees: %s" % exc) from None
         self.label = label
         self._block_memo = {}
         self._h_degrees = None
@@ -344,6 +347,7 @@ def identity_morphism(g):
 
 def verify_morphism(m):
     """Grading + cocycle check for a Morphism; list of violations."""
+    _expect(Morphism, m)
     out = []
     src, dst = m.src, m.dst
     for mat, srow, drow, name in (

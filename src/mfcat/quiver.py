@@ -35,7 +35,7 @@ class DynkinQuiver:
         self.diagram = diagram
         arrows = []
         for edge in diagram.edges:
-            arrow = tuple(orientation[edge])
+            arrow = tuple(orientation.get(edge, ()))
             if sorted(arrow) != sorted(edge):
                 raise PolyError("orientation must redirect the diagram edges")
             arrows.append(arrow)
@@ -79,7 +79,9 @@ def principal_orientation(type_str, b=None):
 
 
 def random_orientation(type_str, b=None, seed=0):
-    """Uniformly random direction per edge, reproducible from the seed."""
+    """Uniformly random direction per edge, reproducible from the int seed."""
+    if not isinstance(seed, int):
+        raise PolyError("seed must be an int, got %r" % (seed,))
     dia = _diagram(type_str, b)
     rng = random.Random(seed)
     orientation = {}

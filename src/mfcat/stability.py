@@ -19,7 +19,7 @@ from functools import reduce as _freduce
 import mpmath
 
 from .catalog import get_catalog, window_bounds
-from .gring import GaussRat, Poly, PolyError
+from .gring import Poly, PolyError
 from .homcat import _per_catalog, class_hom_dim, decompose, t_image
 from .mf import GradedMF, Morphism, _expect, direct_sum, verify_morphism
 from .quiver import DynkinQuiver, path_hom_dims
@@ -117,35 +117,23 @@ def central_charge(g):
     return CentralCharge(complex(value), phase, offsets)
 
 
-def _empty_object(cat):
-    return GradedMF(cat.f, cat.W, (), (), (), label="0")
-
-
 def _sum_object(cat, classes):
     parts = [cat.object(k, n) for (k, n) in classes]
     if not parts:
-        return _empty_object(cat)
+        return GradedMF(cat.f, cat.W, (), (), (), label="0")
     return _freduce(direct_sum, parts)
 
 
-def _block_inclusion(src, dst):
-    """src = leading block of dst (direct-sum layout): strict inclusion."""
-    f0 = tuple(tuple(_const_entry(i == j) for j in range(src.r))
+def _block_map(src, dst, off):
+    """Strict block map of direct-sum layouts: 1 at (i, j) where j - i == off.
+
+    off 0 includes src as the leading block of dst; off src.r - dst.r
+    projects src onto dst as its trailing block.
+    """
+    one, zero = Poly.const(1), Poly()
+    f0 = tuple(tuple(one if j - i == off else zero for j in range(src.r))
                for i in range(dst.r))
-    f1 = f0
-    return Morphism(src, dst, f0, f1)
-
-
-def _block_projection(dst, tail):
-    """tail = trailing block of dst: strict projection onto it."""
-    off = dst.r - tail.r
-    f0 = tuple(tuple(_const_entry(j == off + i) for j in range(dst.r))
-               for i in range(tail.r))
-    return Morphism(dst, tail, f0, f0)
-
-
-def _const_entry(flag):
-    return Poly.const(GaussRat(1 if flag else 0))
+    return Morphism(src, dst, f0, f0)
 
 
 def _catalog_for(g):
@@ -186,13 +174,13 @@ def hn_filtration(g):
         raise ArithmeticError("piece phases are not strictly decreasing")
     triangles = []
     below = []
-    prev_obj = _empty_object(cat)
+    prev_obj = _sum_object(cat, [])
     for phase, factors in pieces:
         piece_obj = _sum_object(cat, factors)
         below.extend(factors)
         cur_obj = _sum_object(cat, below)
-        incl = _block_inclusion(prev_obj, cur_obj)
-        proj = _block_projection(cur_obj, piece_obj)
+        incl = _block_map(prev_obj, cur_obj, 0)
+        proj = _block_map(cur_obj, piece_obj, cur_obj.r - piece_obj.r)
         for m in (incl, proj):
             errs = verify_morphism(m)
             if errs:
@@ -225,13 +213,13 @@ def check_stability_axioms(type_str, b=None, window=(0, 2), trials=100,
         factor multiset.
 
     A window that is not an (lo, hi) pair of rationals or holds no object,
-    a trial count that is not an int >= 0, or a summand bound that is not
-    an int >= 1 raises PolyError.
+    a trial count that is not an int >= 0, a summand bound that is not an
+    int >= 1, or a seed that is not an int raises PolyError.
     """
     if not (isinstance(trials, int) and isinstance(max_summands, int)
-            and trials >= 0 and max_summands >= 1):
-        raise PolyError("need ints trials >= 0 and max_summands >= 1, "
-                        "got %r and %r" % (trials, max_summands))
+            and isinstance(seed, int) and trials >= 0 and max_summands >= 1):
+        raise PolyError("need ints trials >= 0, max_summands >= 1 and seed, "
+                        "got %r, %r and %r" % (trials, max_summands, seed))
     if not isinstance(window, (tuple, list)) or len(window) != 2:
         raise PolyError("window must be a pair (lo, hi), got %r" % (window,))
     cat = get_catalog(type_str, b)

@@ -6,8 +6,9 @@ Hom-degree grids are regenerated from the reflection recursion alone;
 and the brute-force morphism counter assembles and solves its linear
 systems densely with sympy (its own pivoting) instead of the package
 kernel.  The unit-entry reduction keeps its first form, which copies and
-rebuilds both blocks at every pivot.  Tests compare package output
-against these, never the other way around.
+rebuilds both blocks at every pivot, and the retraction test keeps its
+End-coordinate form, an exact solve in End(M) per witness pair.  Tests
+compare package output against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import sympy
 
+from mfcat.homcat import compose, hom_space
 from mfcat.mf import GradedMF, _expect
 
 
@@ -414,3 +416,27 @@ def reduce_reference(g):
             continue
         break
     return GradedMF(g.f, g.W, phi, psi, s_row + sbar_row, label=g.label)
+
+
+# ---------------------------------------------------------------------------
+# retraction onto a catalog object, as first written (End(M) coordinates)
+# ---------------------------------------------------------------------------
+
+
+def retraction_reference(cat, g, k, n):
+    """incl: M(k, n) -> g whose End(M) coordinate of proj o incl is nonzero
+    for some witness proj: g -> M, or None; witnesses in basis order.
+    """
+    M = cat.object(k, n)
+    P = hom_space(g, M)
+    if P.dim == 0:
+        return None
+    Iw = hom_space(M, g)
+    if Iw.dim == 0:
+        return None
+    EM = hom_space(M, M)
+    for incl in Iw.basis:
+        for proj in P.basis:
+            if EM.coordinates(compose(proj, incl))[0]:
+                return incl
+    return None

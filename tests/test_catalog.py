@@ -140,6 +140,8 @@ def test_malformed_windows_twists_and_vertices_raise_polyerror():
     for c in ("a", 1.5, None):
         with pytest.raises(PolyError):
             cat.twist(1, c)
+        with pytest.raises(PolyError):
+            cat.coord(1, c)
     assert cat.twist(1, Fraction(5)) == cat.twist(1, 5) == cat.twist(1, 2, 3)
     # rational bounds in any exact spelling still enumerate the window
     assert cat.objects_in_window("0", Fraction(1)) == cat.objects_in_window(0, 1)

@@ -159,9 +159,12 @@ def test_parse_poly_accepts_table_style_expressions():
 
 
 def test_parse_poly_rejects_garbage():
-    for text in ("x +", "w^2", "x^^2", "3//4"):
+    for text in ("x +", "w^2", "x^^2", "3//4", None, 5):
         with pytest.raises(PolyError):
             parse_poly(text)
+    for call in (lambda: Poly.var("w"), lambda: Poly.var("x").diff("w")):
+        with pytest.raises(PolyError):
+            call()
 
 
 def test_parse_type_accepts_and_rejects():

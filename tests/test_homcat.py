@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+
 from mfcat import homcat, kernel
 from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError
@@ -538,7 +540,7 @@ def _split_complement(cat, work, k, n):
     """The complement of M(k, n) in work the long way: lift e, split 1 - e."""
     M = cat.object(k, n)
     incl = homcat._retraction(cat, work, k, n)
-    EM = homcat._endomorphisms(cat, k, n)
+    EM = hom_space(M, M)
     for proj in hom_space(work, M).basis:
         gamma = EM.coordinates(compose(proj, incl))[0]
         if gamma:
@@ -571,6 +573,57 @@ def test_cone_complements_match_the_split_idempotent_reference():
                     checked += 1
                 work = rest
     assert checked == 3 * (1 + 2 + 3)
+
+
+_RETRACTION_TYPES = (("A4", 2), ("D5", None), ("E6", None), ("E7", None),
+                     ("E8", None))
+
+
+def _assert_retraction_matches_reference(cat, g):
+    g0 = reduce(g)
+    for _, k, n in _candidate_classes(cat, g0):
+        got = homcat._retraction(cat, g0, k, n)
+        want = oracles.retraction_reference(cat, g0, k, n)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.phi0, got.phi1) == (want.phi0, want.phi1)
+
+
+@pytest.mark.parametrize("t,b", _RETRACTION_TYPES)
+def test_retraction_matches_the_end_coordinate_reference_on_images(t, b):
+    cat = get_catalog(t, b)
+    for k in cat.diagram.vertices:
+        for image in (shift_T(cat.object(k, 0)), serre(cat.object(k, 0))):
+            _assert_retraction_matches_reference(cat, image)
+
+
+def test_retraction_matches_the_end_coordinate_reference_on_sums():
+    rng = random.Random(13)
+    for t, b in (("A4", 2), ("D5", None), ("E6", None)):
+        cat = get_catalog(t, b)
+        window = cat.objects_in_window(0, 2)
+        for s in (2, 3, 2, 3):
+            picks = [rng.choice(window)[1:] for _ in range(s)]
+            _assert_retraction_matches_reference(
+                cat, _freduce(direct_sum, [cat.object(k, n) for k, n in picks]))
+
+
+@pytest.mark.parametrize("t,b", _RETRACTION_TYPES)
+def test_vertex_endomorphisms_are_scalars_on_reduced_objects(t, b):
+    # the premises of the constant-term pairing in _retraction
+    cat = get_catalog(t, b)
+    for k in cat.diagram.vertices:
+        M = cat.object(k, 0)
+        assert not any(p.constant_term() for mat in (M.phi, M.psi)
+                       for row in mat for p in row)
+        E = hom_space(M, M)
+        assert E.dim == 1
+        const = [[p.constant_term() for p in row] for row in E.basis[0].phi0]
+        c = const[0][0]
+        assert c
+        assert const == [[c if i == j else 0 for j in range(M.r)]
+                         for i in range(M.r)]
 
 
 def test_identify_object_of_an_unequal_copy_goes_through_a_retraction(
@@ -662,20 +715,23 @@ def test_serre_images_commute_with_tau():
                 assert twisted._block_memo is image._block_memo
 
 
-def test_end_spaces_are_memoized_per_class():
+def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
+    calls = _count_calls(monkeypatch, "compose", "hom_space")
+    solves = []
+
+    def counted(*args, _real=kernel.solve):
+        solves.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(kernel, "solve", counted)
     cat = Catalog("D4")
     g = direct_sum(cat.object(1, 0), direct_sum(cat.object(3, 1),
                                                 cat.object(1, 0)))
-    assert decompose(cat, g) == decompose(get_catalog("D4"), g)
-    ends = [key for key in cat.memo if key[0] == "_endomorphisms"]
-    assert ends
-    for key in ends:
-        E = cat.memo[key]
-        M = cat.object(*key[1:])
-        assert E.src is M and E.dst is M
-        want = hom_space(_cache_free(M), _cache_free(M))
-        assert E.dim == want.dim == 1
-        assert _basis_blocks(E) == _basis_blocks(want)
+    assert decompose(cat, g) == sorted([(1, 0), (3, 1), (1, 0)],
+                                       key=lambda t: (-cat.phase(*t), t[0]))
+    assert calls["compose"] == solves == []
+    assert calls["hom_space"]
+    assert all(src is not dst for src, dst in calls["hom_space"])
 
 
 def test_repeat_calls_are_answered_from_the_catalog_memo(monkeypatch):

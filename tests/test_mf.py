@@ -294,6 +294,9 @@ def test_shape_errors_raise_polyerror():
     g = _objects()[0]
     with pytest.raises(PolyError):
         GradedMF(g.f, g.W, [[Poly.var("x")]], g.psi, g.S)
+    for phi, S in ((g.phi, ["a"] * len(g.S)), (5, g.S), ([5], g.S)):
+        with pytest.raises(PolyError):
+            GradedMF(g.f, g.W, phi, g.psi, S)
     with pytest.raises(PolyError):
         Morphism(g, g, g.phi[:-1], g.phi)
     with pytest.raises(PolyError):
@@ -311,16 +314,25 @@ def test_shape_errors_raise_polyerror():
                  lambda: shift_T_inverse("x"), lambda: serre("x"),
                  lambda: serre_inverse("x"), lambda: verify_mf("x"),
                  lambda: verify_grading("x"), lambda: identity_morphism("x"),
-                 lambda: compose(m, g), lambda: compose("x", m)):
+                 lambda: compose(m, g), lambda: compose("x", m),
+                 lambda: verify_morphism(g),
+                 lambda: homcat.check_jacobi_annihilation(g),
+                 lambda: homcat.jacobi_homotopy(g, "x"),
+                 lambda: homcat.morphism_add(m, g),
+                 lambda: homcat.morphism_sub(g, m),
+                 lambda: homcat.morphism_scale(2, g),
+                 lambda: homcat.morphism_scale_poly(Poly.var("x"), g),
+                 lambda: homcat.morphism_eq(m, "x")):
         with pytest.raises(PolyError):
             call()
 
 
 _OPTIMIZED_PROBE = """
 from mfcat.catalog import get_catalog
-from mfcat.gring import GaussRat, Poly, PolyError
+from mfcat.gring import GaussRat, Poly, PolyError, parse_poly
 from mfcat.homcat import compose, hom_dim
-from mfcat.mf import GradedMF, cone, mat_block, mat_mul, reduce, tau
+from mfcat.mf import (GradedMF, cone, mat_block, mat_mul, reduce, tau,
+                      verify_morphism)
 one = ((Poly.const(1),),)
 X = get_catalog("A2").object(1, 0)
 twice = GradedMF(X.f * 2, X.W, X.phi, [[p * 2 for p in row] for row in X.psi],
@@ -334,7 +346,9 @@ for name, call in (
         ("cone", lambda: cone(X)),
         ("reduce", lambda: reduce("x")),
         ("tau", lambda: tau("x")),
-        ("compose", lambda: compose(X, X))):
+        ("compose", lambda: compose(X, X)),
+        ("parse_poly", lambda: parse_poly(None)),
+        ("verify_morphism", lambda: verify_morphism(X))):
     try:
         call()
     except PolyError:
@@ -353,4 +367,5 @@ def test_shape_checks_survive_python_O():
     assert out.stdout.splitlines() == [
         "mat_mul rejected", "mat_block rejected", "GaussRat rejected",
         "GaussRat(0.5) rejected", "hom_dim rejected", "cone rejected",
-        "reduce rejected", "tau rejected", "compose rejected"]
+        "reduce rejected", "tau rejected", "compose rejected",
+        "parse_poly rejected", "verify_morphism rejected"]

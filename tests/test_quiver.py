@@ -95,3 +95,9 @@ def test_orientation_must_redirect_the_tree():
     bad[first] = (first[0], first[0])
     with pytest.raises(PolyError):
         DynkinQuiver(dia, bad)
+    with pytest.raises(PolyError):
+        DynkinQuiver(dia, {})
+    with pytest.raises(PolyError):
+        principal_orientation("A3", b="x")
+    with pytest.raises(PolyError):
+        random_orientation("A3", seed=[1])

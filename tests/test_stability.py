@@ -164,6 +164,7 @@ def test_stability_axioms_on_a_small_type():
     {"window": (0, 1, 2)},
     {"trials": 1.5},
     {"max_summands": 1.5},
+    {"seed": [1]},
 ])
 def test_stability_axioms_reject_bad_arguments_with_polyerror(kwargs):
     with pytest.raises(PolyError):
