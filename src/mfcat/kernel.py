@@ -2,11 +2,15 @@
 
 A sparse row is a triple ``(cols, res, ims)`` of parallel lists: strictly
 increasing column indices and the real/imaginary integer parts of the entries.
-Rows never store zero entries.  All elimination is fraction-free (callers
-clear denominators with :func:`row_from_fractions`) with per-row content
-normalization, so values stay Gaussian integers throughout: the back
-substitution of :func:`nullspace` multiplies through by the norm of each
-pivot lead instead of dividing by it, and every result is an integer row.
+Rows never store zero entries.  Callers clear denominators with
+:func:`row_from_fractions`, and values stay Gaussian integers throughout.
+Every pivot row is stored as the first-quadrant associate of its lead
+(re > 0, im >= 0), so a unit lead is exactly 1 and a row is reduced against
+it by subtraction alone.  Only a pivot whose lead is not a unit (such as 2
+or 1+i) takes the fraction-free cross-multiplication step, followed by a
+content normalization.  The back substitution of :func:`nullspace`
+multiplies through by the norm of each pivot lead instead of dividing by it,
+and every result is an integer row.
 """
 
 from bisect import bisect, insort
@@ -50,61 +54,66 @@ def row_from_fractions(items):
                            for c, a, b, d in items]), scale
 
 
-def row_axpy(a_re, a_im, v, b_re, b_im, p):
-    """Return a*v - b*p for Gaussian-integer scalars a, b and rows v, p."""
+def row_scale(a_re, a_im, v):
+    """Return a*v for a nonzero Gaussian-integer scalar a."""
+    cols, res, ims = v
+    return (cols, [a_re * r - a_im * i for r, i in zip(res, ims)],
+            [a_re * i + a_im * r for r, i in zip(res, ims)])
+
+
+def row_sub(v, b_re, b_im, p):
+    """Return v - b*p, where v's lead is b times p's lead, in the same column.
+
+    The leads cancel, so the merge starts after them; v's entries where p has
+    none are copied unchanged.
+    """
     vc, vr, vi = v
     pc, pr, pi = p
     nv, np_ = len(vc), len(pc)
     cols, res, ims = [], [], []
-    i = j = 0
+    i = j = 1
     while i < nv and j < np_:
         ci, cj = vc[i], pc[j]
         if ci < cj:
-            re = a_re * vr[i] - a_im * vi[i]
-            im = a_re * vi[i] + a_im * vr[i]
-            if re or im:
-                cols.append(ci)
-                res.append(re)
-                ims.append(im)
+            cols.append(ci)
+            res.append(vr[i])
+            ims.append(vi[i])
             i += 1
         elif cj < ci:
-            re = -(b_re * pr[j] - b_im * pi[j])
-            im = -(b_re * pi[j] + b_im * pr[j])
-            if re or im:
-                cols.append(cj)
-                res.append(re)
-                ims.append(im)
+            r, m = pr[j], pi[j]
+            cols.append(cj)
+            res.append(b_im * m - b_re * r)
+            ims.append(-(b_re * m + b_im * r))
             j += 1
         else:
-            re = (a_re * vr[i] - a_im * vi[i]) - (b_re * pr[j] - b_im * pi[j])
-            im = (a_re * vi[i] + a_im * vr[i]) - (b_re * pi[j] + b_im * pr[j])
+            r, m = pr[j], pi[j]
+            re = vr[i] - (b_re * r - b_im * m)
+            im = vi[i] - (b_re * m + b_im * r)
             if re or im:
                 cols.append(ci)
                 res.append(re)
                 ims.append(im)
             i += 1
             j += 1
-    while i < nv:
-        re = a_re * vr[i] - a_im * vi[i]
-        im = a_re * vi[i] + a_im * vr[i]
-        if re or im:
-            cols.append(vc[i])
-            res.append(re)
-            ims.append(im)
-        i += 1
+    if i < nv:
+        cols += vc[i:]
+        res += vr[i:]
+        ims += vi[i:]
     while j < np_:
-        re = -(b_re * pr[j] - b_im * pi[j])
-        im = -(b_re * pi[j] + b_im * pr[j])
-        if re or im:
-            cols.append(pc[j])
-            res.append(re)
-            ims.append(im)
+        r, m = pr[j], pi[j]
+        cols.append(pc[j])
+        res.append(b_im * m - b_re * r)
+        ims.append(-(b_re * m + b_im * r))
         j += 1
     return cols, res, ims
 
 
 def row_normalize(row):
-    """Divide a row by the gcd of all its parts; fix the leading sign."""
+    """Divide a row by the gcd of all its parts and multiply it by the unit
+    that puts its lead in the first quadrant (re > 0, im >= 0).
+
+    A lead of norm 1 then becomes exactly 1.
+    """
     cols, res, ims = row
     if not cols:
         return row
@@ -121,10 +130,14 @@ def row_normalize(row):
     if g > 1:
         res = [x // g for x in res]
         ims = [x // g for x in ims]
-    if res[0] < 0 or (res[0] == 0 and ims[0] < 0):
-        res = [-x for x in res]
-        ims = [-x for x in ims]
-    return cols, res, ims
+    lr, li = res[0], ims[0]
+    if lr > 0 and li >= 0:
+        return cols, res, ims
+    if lr < 0 and li <= 0:  # times -1
+        return cols, [-x for x in res], [-x for x in ims]
+    if li > 0:  # times -i
+        return cols, ims, [-x for x in res]
+    return cols, [-x for x in ims], res  # times i
 
 
 class Echelon:
@@ -132,7 +145,13 @@ class Echelon:
 
     Pivot of a stored row is its leading (smallest) column; the pivot column
     set of a row space is order-independent, so bases derived from it are
-    canonical.
+    canonical.  A row is normalized once, when it becomes a pivot, so every
+    stored lead is a first-quadrant associate and a unit lead is exactly 1.
+    A row v is reduced against a unit-lead pivot p by subtraction,
+    ``v - b*p`` for v's lead b (:func:`row_sub`).  Only against a pivot
+    whose lead a is not a unit does it take the fraction-free step
+    ``a*v - b*p`` (:func:`row_scale` first), with a :func:`row_normalize`
+    after it.
     """
 
     def __init__(self):
@@ -145,33 +164,36 @@ class Echelon:
     def reduce(self, row):
         """Fully reduce a row against the stored pivots; return the residual."""
         pivots = self.pivots
-        while True:
-            cols = row[0]
-            if not cols:
-                return row
-            lead = cols[0]
-            p = pivots.get(lead)
+        while row[0]:
+            p = pivots.get(row[0][0])
             if p is None:
-                return row
-            row = row_axpy(p[1][0], p[2][0], row, row[1][0], row[2][0], p)
-            row = row_normalize(row)
+                break
+            a_re, a_im = p[1][0], p[2][0]
+            b_re, b_im = row[1][0], row[2][0]
+            if a_re == 1 and not a_im:
+                row = row_sub(row, b_re, b_im, p)
+            else:
+                # fraction-free: a*v - b*p for p's lead a and v's lead b
+                row = row_normalize(row_sub(row_scale(a_re, a_im, row), b_re, b_im, p))
+        return row
 
     def insert(self, row):
         """Insert a row; return True if it enlarged the span."""
-        row = self.reduce(row_normalize(row))
+        row = self.reduce(row)
         if not row[0]:
             return False
-        self.pivots[row[0][0]] = row
+        self.pivots[row[0][0]] = row_normalize(row)
         return True
 
 
 def rank(rows):
     """Rank of a list of sparse rows.
 
-    Short rows are processed first (a cheap Markowitz-style heuristic; the
-    result does not depend on the order, the run time does).
+    Short rows are processed first, ties in input order (a cheap
+    Markowitz-style heuristic; the result does not depend on the order, the
+    run time does).
     """
-    rows = sorted(rows, key=lambda r: (len(r[0]), r[0], r[1], r[2]))
+    rows = sorted(rows, key=lambda r: len(r[0]))
     ech = Echelon()
     n = 0
     for row in rows:

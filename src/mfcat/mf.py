@@ -42,6 +42,20 @@ def mat_freeze(rows):
     return tuple(tuple(row) for row in rows)
 
 
+def _poly_block(rows):
+    """mat_freeze(rows); PolyError unless it is a matrix of Poly entries."""
+    try:
+        m = mat_freeze(rows)
+    except TypeError as exc:
+        raise PolyError("malformed block: %s" % exc) from None
+    for row in m:
+        for e in row:
+            if not isinstance(e, Poly):
+                raise PolyError("block entries must be Poly, got %s"
+                                % type(e).__name__)
+    return m
+
+
 def mat_identity(n):
     one = Poly.const(1)
     zero = Poly()
@@ -145,12 +159,12 @@ class GradedMF:
     def __init__(self, f, W, phi, psi, S, label=""):
         self.f = f
         self.W = W
+        self.phi = _poly_block(phi)
+        self.psi = _poly_block(psi)
         try:
-            self.phi = mat_freeze(phi)
-            self.psi = mat_freeze(psi)
             self.S = tuple(Fraction(s) for s in S)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise PolyError("malformed blocks or degrees: %s" % exc) from None
+            raise PolyError("malformed degrees: %s" % exc) from None
         self.label = label
         self._block_memo = {}
         self._h_degrees = None
@@ -324,10 +338,11 @@ class Morphism:
     __slots__ = ("src", "dst", "phi0", "phi1")
 
     def __init__(self, src, dst, phi0, phi1):
+        _expect(GradedMF, src, dst)
         self.src = src
         self.dst = dst
-        self.phi0 = mat_freeze(phi0)
-        self.phi1 = mat_freeze(phi1)
+        self.phi0 = _poly_block(phi0)
+        self.phi1 = _poly_block(phi1)
         if len(self.phi0) != dst.r or (dst.r and len(self.phi0[0]) != src.r):
             raise PolyError("phi0 must be r_dst x r_src")
         if len(self.phi1) != dst.r or (dst.r and len(self.phi1[0]) != src.r):

@@ -9,6 +9,7 @@ heart sizes, total endomorphism-algebra dimensions).
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 from .catalog import DynkinDiagram, principal_decomposition
 from .gring import PolyError, parse_type
@@ -32,11 +33,18 @@ class DynkinQuiver:
     __slots__ = ("diagram", "orientation")
 
     def __init__(self, diagram, orientation):
+        if not isinstance(orientation, Mapping):
+            raise PolyError("orientation must map edges to arrows, got %s"
+                            % type(orientation).__name__)
         self.diagram = diagram
         arrows = []
         for edge in diagram.edges:
-            arrow = tuple(orientation.get(edge, ()))
-            if sorted(arrow) != sorted(edge):
+            arrow = orientation.get(edge, ())
+            if not isinstance(arrow, (tuple, list)):
+                raise PolyError("arrow of edge %r must be a pair, got %r"
+                                % (edge, arrow))
+            arrow = tuple(arrow)
+            if arrow != edge and arrow != edge[::-1]:
                 raise PolyError("orientation must redirect the diagram edges")
             arrows.append(arrow)
         self.orientation = dict(zip(diagram.edges, arrows))

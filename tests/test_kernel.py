@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat import kernel as pyk
@@ -144,18 +144,167 @@ def test_nullspace_rows_are_canonical_and_match_the_fraction_reference():
 
 gauss_ints = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
 
+# Leads of both kinds: a unit (±1, ±i) pivot reduces by subtraction, a
+# non-unit (2, 1+i, ...) one by the fraction-free step.
+UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+NON_UNITS = [(2, 0), (-2, 0), (0, 2), (1, 1), (1, -1), (-1, 1), (3, 1)]
+gauss_entries = st.one_of(st.sampled_from(UNITS + NON_UNITS), gauss_ints)
+# a common factor per row, so that content division can turn a lead into a
+# unit and a rotation can move it out of the first quadrant
+row_factors = st.sampled_from([(1, 0), (1, 0), (2, 0), (1, 1), (0, -1), (-3, 0)])
 
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.lists(st.tuples(st.integers(0, n - 1), gauss_ints),
-                      max_size=n), max_size=n))))
+
+def _scaled_row(factor, items):
+    fr, fi = factor
+    return pyk.row_from_items([(c, fr * re - fi * im, fr * im + fi * re)
+                               for c, (re, im) in items])
+
+
+def _gaussian_rows(n, max_rows):
+    raw = st.tuples(row_factors, st.lists(
+        st.tuples(st.integers(0, n - 1), gauss_entries), max_size=n))
+    return st.lists(raw, max_size=max_rows).map(
+        lambda rows: [_scaled_row(f, items) for f, items in rows])
+
+
+gaussian_systems = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), _gaussian_rows(n, n + 2)))
+
+
+def _fraction_rows(rows):
+    return [{c: (Fraction(r), Fraction(i)) for c, r, i in zip(*row)}
+            for row in rows]
+
+
+def _reference_rank(rows):
+    """Rank over Q(i) by elimination in Fractions, every pivot scaled to lead 1."""
+    pivots = {}
+    for v in _fraction_rows(rows):
+        while v:
+            lead = min(v)
+            br, bi = v[lead]
+            p = pivots.get(lead)
+            if p is None:
+                n = br * br + bi * bi
+                ir, ii = br / n, -bi / n
+                pivots[lead] = {c: (a * ir - b * ii, a * ii + b * ir)
+                                for c, (a, b) in v.items()}
+                break
+            for c, (pr, pi) in p.items():
+                a, b = v.pop(c, (0, 0))
+                a -= br * pr - bi * pi
+                b -= br * pi + bi * pr
+                if a or b:
+                    v[c] = (a, b)
+    return len(pivots)
+
+
+def _reference_select(base, cands):
+    """Candidates that raise the Fraction reference rank, offered in order."""
+    span, chosen = list(base), []
+    for idx, row in enumerate(cands):
+        if _reference_rank(span + [row]) > _reference_rank(span):
+            span.append(row)
+            chosen.append(idx)
+    return chosen
+
+
+def _assert_solves(columns, rhs, sol):
+    """``sol = (row, den)`` gives y with sum_c y_c * columns[c] = rhs exactly."""
+    (scols, sres, sims), den = sol
+    assert den > 0
+    acc = {}
+    for c, re, im in zip(scols, sres, sims):
+        yr, yi = Fraction(re, den), Fraction(im, den)
+        for k, (a, b) in _fraction_rows([columns[c]])[0].items():
+            ore, oim = acc.get(k, (0, 0))
+            acc[k] = (ore + yr * a - yi * b, oim + yr * b + yi * a)
+    assert {k: v for k, v in acc.items() if v != (0, 0)} == _fraction_rows([rhs])[0]
+
+
+def _assert_pivot_leads(ech):
+    for cols, res, ims in ech.pivots.values():
+        assert res[0] > 0 and ims[0] >= 0
+        if res[0] * res[0] + ims[0] * ims[0] == 1:
+            assert (res[0], ims[0]) == (1, 0)
+
+
+@settings(max_examples=200)
+@given(gaussian_systems)
 def test_nullspace_of_random_gaussian_systems_matches_the_reference(system):
     # non-unit pivot leads such as 2 or 1+i make the back substitution
     # scale by their norms; the reference divides instead
-    ncols, raw = system
-    rows = [pyk.row_from_items([(c, re, im) for c, (re, im) in items])
-            for items in raw]
+    ncols, rows = system
     _assert_canonical_basis(rows, ncols)
+
+
+@settings(max_examples=200)
+@given(gaussian_systems, gauss_entries, gauss_entries)
+def test_rank_select_and_solve_of_random_gaussian_systems_match_the_references(
+        system, y0, y1):
+    _, rows = system
+    assert pyk.rank(rows) == _reference_rank(rows)
+    ech = pyk.Echelon()
+    for row in rows:
+        ech.insert(row)
+    _assert_pivot_leads(ech)
+    half = len(rows) // 2
+    assert (pyk.select_independent(rows[:half], rows[half:])
+            == _reference_select(rows[:half], rows[half:]))
+    if len(rows) < 3:
+        return
+    columns = rows[:-1]
+    # rows[-1] is in the span of the columns or not; y0*col0 + y1*col1 is
+    solvable = _reference_rank(rows) == _reference_rank(columns)
+    sol = pyk.solve(columns, rows[-1])
+    assert (sol is not None) == solvable
+    if sol is not None:
+        _assert_solves(columns, rows[-1], sol)
+    rhs = pyk.row_from_items(
+        [(c, y[0] * re - y[1] * im, y[0] * im + y[1] * re)
+         for y, row in ((y0, columns[0]), (y1, columns[1]))
+         for c, re, im in zip(*row)])
+    _assert_solves(columns, rhs, pyk.solve(columns, rhs))
+
+
+@given(row_factors, st.lists(st.tuples(st.integers(0, 6), gauss_entries), max_size=7))
+def test_row_normalize_puts_the_lead_in_the_first_quadrant(factor, items):
+    row = _scaled_row(factor, items)
+    cols, res, ims = pyk.row_normalize(row)
+    assert cols == row[0]
+    if not cols:
+        return
+    assert res[0] > 0 and ims[0] >= 0
+    if res[0] * res[0] + ims[0] * ims[0] == 1:
+        assert (res[0], ims[0]) == (1, 0)
+    assert gcd(*res, *ims) == 1
+    # the input is g * u times the output, for its content g and a unit u
+    g = gcd(*row[1], *row[2])
+    assert any(all((g * (ur * r - ui * i), g * (ur * i + ui * r)) == (a, b)
+                   for r, i, a, b in zip(res, ims, row[1], row[2]))
+               for ur, ui in UNITS)
+
+
+def test_reduction_cross_multiplies_only_against_non_unit_leads(monkeypatch):
+    calls = {"row_sub": 0, "row_scale": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(pyk, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(pyk, name, counted)
+    ech = pyk.Echelon()
+    # 2·x0 + x1 is a pivot with the non-unit lead 2; i·x0 + x2 is
+    # cross-multiplied against it, and the residual -i·x1 + 2·x2 becomes the
+    # pivot x1 + 2i·x2 with lead 1; -i·x1 + x2 is subtracted once, to the
+    # pivot x2, and 3·x1 + i·x2 twice, to zero
+    for items in ([(0, 2, 0), (1, 1, 0)], [(0, 0, 1), (2, 1, 0)],
+                  [(1, 0, -1), (2, 1, 0)], [(1, 3, 0), (2, 0, 1)]):
+        ech.insert(pyk.row_from_items(items))
+    assert calls == {"row_sub": 4, "row_scale": 1}
+    assert ech.pivots == {0: ([0, 1], [2, 1], [0, 0]),
+                          1: ([1, 2], [1, 0], [0, 2]),
+                          2: ([2], [1], [0])}
+    _assert_pivot_leads(ech)
 
 
 def test_select_independent_extends_a_basis():
@@ -186,23 +335,7 @@ def test_solve_reproduces_the_right_hand_side():
         rhs = pyk.row_from_items(items)
         sol = pyk.solve(cols, rhs)
         assert sol is not None
-        (scols, sres, sims), den = sol
-        assert den > 0
-        sol = [(Fraction(0), Fraction(0))] * len(cols)
-        for c, re, im in zip(scols, sres, sims):
-            sol[c] = (Fraction(re, den), Fraction(im, den))
-        # substitute back: sum_c sol_c * cols[c] must equal rhs exactly
-        acc = {}
-        for (re, im), (cc, cr, ci) in zip(sol, cols):
-            for idx in range(len(cc)):
-                ore, oim = acc.get(cc[idx], (Fraction(0), Fraction(0)))
-                acc[cc[idx]] = (ore + re * cr[idx] - im * ci[idx],
-                                oim + re * ci[idx] + im * cr[idx])
-        want = {}
-        rc, rr, ri = rhs
-        for idx in range(len(rc)):
-            want[rc[idx]] = (Fraction(rr[idx]), Fraction(ri[idx]))
-        assert {c: v for c, v in acc.items() if v != (0, 0)} == want
+        _assert_solves(cols, rhs, sol)
 
 
 def test_solve_reports_unsolvable_systems():

@@ -327,6 +327,25 @@ def test_shape_errors_raise_polyerror():
             call()
 
 
+def test_graded_mf_rejects_blocks_of_non_poly_entries():
+    g = _objects()[0]
+    ints = [[5] * g.r for _ in range(g.r)]
+    for phi, psi in ((ints, g.psi), (g.phi, ints), (g.phi, 5), ("ab", g.psi)):
+        with pytest.raises(PolyError):
+            GradedMF(g.f, g.W, phi, psi, g.S)
+
+
+def test_morphism_rejects_blocks_of_non_poly_entries():
+    g = _objects()[0]
+    ints = [[5] * g.r for _ in range(g.r)]
+    for phi0, phi1 in ((ints, g.phi), (g.phi, ints), (5, g.phi)):
+        with pytest.raises(PolyError):
+            Morphism(g, g, phi0, phi1)
+    for src, dst in (("x", g), (g, None)):
+        with pytest.raises(PolyError):
+            Morphism(src, dst, g.phi, g.phi)
+
+
 _OPTIMIZED_PROBE = """
 from mfcat.catalog import get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError, parse_poly

@@ -101,3 +101,14 @@ def test_orientation_must_redirect_the_tree():
         principal_orientation("A3", b="x")
     with pytest.raises(PolyError):
         random_orientation("A3", seed=[1])
+
+
+def test_orientation_must_map_edges_to_pairs():
+    dia = DynkinDiagram("D", 4, None)
+    first = dia.edges[0]
+    for orientation in (5, None, [first], {first: 5}, {first: "ab"},
+                        {first: ("a", 1)}, {first: first + first[:1]}):
+        with pytest.raises(PolyError):
+            DynkinQuiver(dia, orientation)
+    arrows = {e: list(e[::-1]) for e in dia.edges}
+    assert DynkinQuiver(dia, arrows).arrows == tuple(e[::-1] for e in dia.edges)
