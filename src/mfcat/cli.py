@@ -137,10 +137,15 @@ def _verify_suite(cat):
     yield "slot sums and central charges", bad
 
     bad = []
+    lift_want = Fraction(cat.h - 2, cat.h)  # T adds 1, tau^{-1} takes 2/h
     for k in cat.diagram.vertices:
-        ks, _ = serre_image(cat, k)
+        ks, ns = serre_image(cat, k)
         if ks != serre_vertex(cat.type_str, k):
             bad.append("Serre involution sends k=%d to %d" % (k, ks))
+        lift = cat.phase(ks, ns) - cat.phase(k, 0)
+        if lift != lift_want:
+            bad.append("Serre image of k=%d lifts the phase by %s, not %s"
+                       % (k, lift, lift_want))
     yield "Serre involution on vertices", bad
 
     bad = []

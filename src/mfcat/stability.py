@@ -6,6 +6,8 @@ a phase-pure object the slot multiset is symmetric about its phase, so
 the charge factors as mass * e^{i*pi*phase} with the mass a finite sum
 of cosines of rational multiples of pi; positivity of that sum is
 certified with interval arithmetic, never by float comparison.
+mpmath is imported only when a mass is computed, so importing the engine
+and building catalogs does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce as _freduce
-
-import mpmath
 
 from .catalog import get_catalog, window_bounds
 from .gring import Poly, PolyError
@@ -53,11 +53,15 @@ class CentralCharge:
         self.mass_terms = mass_terms
 
     def mass_float(self):
+        import mpmath
+        _check_offsets(self.mass_terms)
         return float(sum(mpmath.cos(mpmath.pi * mpmath.mpf(o.numerator) / o.denominator)
                          for o in self.mass_terms))
 
     def mass_interval(self):
         """Interval guaranteed to contain the exact mass."""
+        import mpmath
+        _check_offsets(self.mass_terms)
         with mpmath.workprec(80):
             total = mpmath.iv.mpf(0)
             for o in self.mass_terms:
@@ -80,13 +84,30 @@ class CentralCharge:
         return Counter(self.mass_terms) == Counter(-o for o in self.mass_terms)
 
 
-@_per_catalog
+def _check_offsets(offsets):
+    """Raise PolyError unless offsets is a tuple of ints and Fractions.
+
+    Every mass goes through this check, so no float reaches a certificate.
+    """
+    if not (isinstance(offsets, tuple)
+            and all(isinstance(o, (int, Fraction)) for o in offsets)):
+        raise PolyError("mass offsets must be a tuple of ints and Fractions, "
+                        "got %r" % (offsets,))
+
+
 def mass_certified(cat, offsets):
     """Interval-certified positivity of the mass over a sorted offset tuple.
 
     Offsets do not move under tau, so one certificate per vertex serves
-    every twist.
+    every twist.  Offsets that are not a tuple of ints and Fractions raise
+    PolyError before the memo is consulted.
     """
+    _check_offsets(offsets)
+    return _mass_certified(cat, offsets)
+
+
+@_per_catalog
+def _mass_certified(cat, offsets):
     return CentralCharge(None, None, offsets).mass_positive()
 
 

@@ -7,8 +7,10 @@ import json
 from click.testing import CliRunner
 
 from mfcat import cli as climod
+from mfcat import homcat
+from mfcat.catalog import Catalog
 from mfcat.cli import cli
-from mfcat.mf import mf_from_json, verify_grading, verify_mf
+from mfcat.mf import mf_from_json, shift_T, tau, verify_grading, verify_mf
 
 
 def _run(*args):
@@ -63,6 +65,26 @@ def test_table3_flags_golden_mismatches(monkeypatch):
     res = _run("table3", "--type", "A2")
     assert res.exit_code == 1
     assert "MISMATCH" in res.output
+
+
+def test_serre_involution_section_catches_an_off_by_one_twist(monkeypatch):
+    # S = T tau^{-1}; one twist too many keeps every vertex but moves the
+    # phase, which only the phase lift of the section can see
+    def sections(cat):
+        for name, bad in climod._verify_suite(cat):
+            yield name, bad
+            if name == "Serre involution on vertices":
+                return
+
+    good = dict(sections(Catalog("E6")))
+    assert good["Serre involution on vertices"] == []
+    monkeypatch.setattr(homcat, "serre", lambda g: tau(shift_T(g), -2))
+    # a private catalog, so no mutated Serre image lands in the shared memo
+    planted = dict(sections(Catalog("E6")))
+    assert len(planted["Serre involution on vertices"]) == 6
+    assert all("lifts the phase by" in v
+               for v in planted["Serre involution on vertices"])
+    assert planted["factorization and grading contracts"] == []
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -169,6 +172,50 @@ def test_stability_axioms_on_a_small_type():
 def test_stability_axioms_reject_bad_arguments_with_polyerror(kwargs):
     with pytest.raises(PolyError):
         check_stability_axioms("A3", 2, **kwargs)
+
+
+@pytest.mark.parametrize("offsets", [
+    (0.5,),
+    (Fraction(1, 6), 0.25),
+    5,
+    [Fraction(1, 6), Fraction(-1, 6)],
+    ("x",),
+])
+def test_masses_reject_offsets_that_are_not_exact_with_polyerror(offsets):
+    cat = Catalog("A3", 2)
+    with pytest.raises(PolyError):
+        mass_certified(cat, offsets)
+    # rejected before the memo is consulted, so nothing is stored
+    assert cat.memo == {}
+    cc = CentralCharge(None, None, offsets)
+    for mass in (cc.mass_float, cc.mass_interval, cc.mass_positive):
+        with pytest.raises(PolyError):
+            mass()
+
+
+_STARTUP_PROBE = """
+import sys
+import mfcat.catalog, mfcat.homcat, mfcat.kernel, mfcat.stability, mfcat.tables
+import mfcat.cli
+from mfcat.catalog import get_catalog
+from mfcat.stability import central_charge, mass_certified
+e7 = get_catalog("E7")
+for k in e7.diagram.vertices:
+    e7.object(k, 0)
+print("mpmath" in sys.modules)
+e6 = get_catalog("E6")
+print(mass_certified(e6, central_charge(e6.object(5, 0)).mass_terms))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_the_engine_loads_mpmath_only_to_certify_a_mass():
+    # a fresh interpreter, since this module imports mpmath itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(stability.__file__))
+    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["False", "True", "True"]
 
 
 def test_hn_filtration_rejects_a_non_object_with_polyerror():
