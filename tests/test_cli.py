@@ -84,7 +84,6 @@ def test_serre_involution_section_catches_an_off_by_one_twist(monkeypatch):
     assert len(planted["Serre involution on vertices"]) == 6
     assert all("lifts the phase by" in v
                for v in planted["Serre involution on vertices"])
-    assert planted["factorization and grading contracts"] == []
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):
