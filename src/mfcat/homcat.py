@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from . import kernel
+from .catalog import Catalog
 from .gring import ZERO, GaussRat, Poly, PolyError, weighted_monomials
 from .mf import (
     GradedMF,
@@ -50,7 +51,8 @@ def _same_potential(a, b):
 
 
 def _on_catalog(cat, g):
-    """PolyError unless g is a GradedMF of the catalog's potential."""
+    """PolyError unless cat is a Catalog and g a GradedMF of its potential."""
+    _expect(Catalog, cat)
     _expect(GradedMF, g)
     _same_potential(cat, g)
 
@@ -305,9 +307,10 @@ def hom_space(src, dst):
     if not sys.nvars:
         return HomSpace(src, dst, 0, [], {}, [])
     _, zrows = kernel.nullspace(sys.cocycle_rows, sys.nvars)
-    chosen = kernel.select_independent(sys.boundary_rows, zrows)
+    chosen, rank_b = kernel.select_independent(sys.boundary_rows, zrows)
     basis = [sys.morphism_from_row(zrows[i]) for i in chosen]
-    rank_b = kernel.rank(sys.boundary_rows)
+    # rank B + len(chosen) = rank(B + Z) >= len(Z), with equality iff B lies
+    # in span Z
     dim = len(zrows) - rank_b
     if dim != len(chosen):
         raise ArithmeticError("boundary image escapes the cocycle space")
@@ -664,10 +667,14 @@ def identify_object(cat, g):
 
 
 def _per_catalog(fn):
-    """Memoize ``fn(cat, *args)`` in ``cat.memo`` under ``(fn.__name__,) + args``."""
+    """Memoize ``fn(cat, *args)`` in ``cat.memo`` under ``(fn.__name__,) + args``.
+
+    PolyError unless cat is a Catalog, before the memo is read.
+    """
 
     @functools.wraps(fn)
     def memoized(cat, *args):
+        _expect(Catalog, cat)
         key = (fn.__name__,) + args
         if key not in cat.memo:
             cat.memo[key] = fn(cat, *args)
@@ -708,6 +715,7 @@ def class_hom_dim(cat, k, kprime, c):
     so the dimension is a class function of (k, k', c); c values of the
     wrong parity admit no object pairs and count as zero.
     """
+    _expect(Catalog, cat)
     n_prime = cat.twist(kprime, c, cat.sigma(k))
     if n_prime is None:
         return 0
@@ -725,6 +733,7 @@ def hom_multiset(cat, k, kprime):
     Scans c in [-4, h+2] and insists the margins are empty; a nonzero
     dimension outside the window is an engine error, not data.
     """
+    _expect(Catalog, cat)
     out = []
     for c in range(-4, cat.h + 3):
         d = class_hom_dim(cat, k, kprime, c)
@@ -745,6 +754,7 @@ def serre_rhs_dim(cat, k_y, k_x, cprime):
     integral n exists.  The Serre image is used as a raw block pair, not
     identified against the catalog.
     """
+    _expect(Catalog, cat)
     n = cat.twist(k_x, cprime, 2 - cat.h + cat.sigma(k_y))
     if n is None:
         return 0
@@ -772,6 +782,7 @@ def serre_duality_report(cat, lo=0, hi=2):
     the catalog).  Results are cached per dimension class, so the sweep costs
     one linear system per (k, k', c) class, not per object pair.
     """
+    _expect(Catalog, cat)
     window = cat.objects_in_window(lo, hi)
     viol = []
     for _, k_x, n_x in window:
@@ -803,46 +814,29 @@ def ar_triangle_check(cat, k):
     """Check the AR-triangle at vertex k; returns a list of violations.
 
     The triangle is S^-1 X -> E -> X built on the unique class in
-    Hom(S^-1 X, X); E must be the reduced cone, whose slot multiset, End
-    dimension and Homs onto the diagram neighbors are pinned by the doubled
-    Dynkin quiver.
+    Hom(S^-1 X, X); E is the cone, and its certified decomposition must be
+    the sum of the diagram neighbors one phase step above X, the targets of
+    the irreducible maps out of X in the doubled Dynkin quiver.
     """
+    _expect(Catalog, cat)
     X = cat.object(k, 0)
-    Xm = serre_inverse(X)
-    H = hom_space(Xm, X)
-    viol = []
+    H = hom_space(serre_inverse(X), X)
     if H.dim != 1:
-        viol.append("dim Hom(S^-1 X, X) = %d != 1 at k=%d" % (H.dim, k))
-        return viol
-    w = H.basis[0]
-    mid = reduce(cone(w))
-    nbrs = cat.diagram.neighbors(k)
-    sig = cat.sigma(k)
-    expected0, expected1 = [], []
-    mids = []
-    # the middle receives the irreducible maps out of X, one phase step up
-    for i in nbrs:
-        n_i = cat.twist(i, sig + 1)
+        return ["dim Hom(S^-1 X, X) = %d != 1 at k=%d" % (H.dim, k)]
+    want = []
+    for i in cat.diagram.neighbors(k):
+        n_i = cat.twist(i, cat.sigma(k) + 1)
         if n_i is None:
-            viol.append("neighbor %d not on the opposite parity class" % i)
-            return viol
-        Mi = cat.object(i, n_i)
-        mids.append(Mi)
-        expected0.extend(Mi.s_row)
-        expected1.extend(Mi.sbar_row)
-    if (sorted(mid.s_row) != sorted(expected0)
-            or sorted(mid.sbar_row) != sorted(expected1)):
-        viol.append("cone slot multiset differs from the neighbor sum at k=%d"
-                    % k)
-    e_dim = hom_space(mid, mid).dim if mid.r else 0
-    if e_dim != len(nbrs):
-        viol.append("dim End(cone) = %d != %d neighbors at k=%d"
-                    % (e_dim, len(nbrs), k))
-    for i, Mi in zip(nbrs, mids):
-        d = hom_dim(mid, Mi)
-        if d != 1:
-            viol.append("dim Hom(cone, M^%d) = %d != 1 at k=%d" % (i, d, k))
-    return viol
+            return ["neighbor %d not on the opposite parity class" % i]
+        want.append((i, n_i))
+    try:
+        got = decompose(cat, cone(H.basis[0]))
+    except ArithmeticError as exc:
+        return ["cone does not decompose at k=%d: %s" % (k, exc)]
+    if sorted(got) != sorted(want):
+        return ["cone decomposes as %s, not the neighbor sum %s at k=%d"
+                % (sorted(got), sorted(want), k)]
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,8 @@ def nullspace(rows, ncols):
 
 
 def select_independent(base_rows, cand_rows):
-    """Indices of ``cand_rows`` that are independent modulo span(base_rows).
+    """``(chosen, rank)``: the indices of ``cand_rows`` that are independent
+    modulo span(base_rows), and the rank of ``base_rows``.
 
     Candidates are offered in order, each tested against the span of the base
     rows plus the previously accepted candidates.
@@ -271,11 +272,9 @@ def select_independent(base_rows, cand_rows):
     ech = Echelon()
     for row in base_rows:
         ech.insert(row)
-    chosen = []
-    for idx, row in enumerate(cand_rows):
-        if ech.insert(row):
-            chosen.append(idx)
-    return chosen
+    rank_base = ech.rank
+    chosen = [idx for idx, row in enumerate(cand_rows) if ech.insert(row)]
+    return chosen, rank_base
 
 
 def solve(columns, rhs):

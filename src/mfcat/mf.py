@@ -17,7 +17,10 @@ in the normalized scale where deg f = 2.
 Besides the container this module has the degree-shift tau, the odd shift T
 (and the Serre twist built from both), mapping cones on explicit cocycle
 witnesses, direct sums, unit-entry reduction, the grading solver, and the
-JSON form used by the command line.
+JSON form used by the command line.  T applied twice keeps the blocks and
+adds 2 to every slot, so T^2 = tau^h and the inverses T^-1 = tau^-h T and
+S^-1 = tau^{1-h} T need no code of their own.  Cones and direct sums are
+2x2 block stacks of blocks already validated by GradedMF and Morphism.
 """
 
 import math
@@ -100,41 +103,10 @@ def mat_is_zero(A):
     return all(not a for row in A for a in row)
 
 
-def mat_block(blocks):
-    """Assemble a block matrix from a 2D list of matrices (None = zero)."""
-    row_sizes = []
-    col_sizes = []
-    for bi, brow in enumerate(blocks):
-        for bj, blk in enumerate(brow):
-            if blk is None:
-                continue
-            n, m = len(blk), len(blk[0]) if blk else 0
-            if len(row_sizes) <= bi:
-                row_sizes.extend([None] * (bi + 1 - len(row_sizes)))
-            if len(col_sizes) <= bj:
-                col_sizes.extend([None] * (bj + 1 - len(col_sizes)))
-            if row_sizes[bi] is None:
-                row_sizes[bi] = n
-            if row_sizes[bi] != n:
-                raise PolyError("mat_block row %d mixes heights %d and %d"
-                                % (bi, row_sizes[bi], n))
-            if col_sizes[bj] is None:
-                col_sizes[bj] = m
-            if col_sizes[bj] != m:
-                raise PolyError("mat_block column %d mixes widths %d and %d"
-                                % (bj, col_sizes[bj], m))
-    if len(row_sizes) != len(blocks) or None in row_sizes or None in col_sizes:
-        raise PolyError("mat_block has a block row or column of Nones only")
-    out = []
-    for bi, brow in enumerate(blocks):
-        rows = [[] for _ in range(row_sizes[bi])]
-        for bj, blk in enumerate(brow):
-            if blk is None:
-                blk = mat_zero(row_sizes[bi], col_sizes[bj])
-            for i in range(row_sizes[bi]):
-                rows[i].extend(blk[i])
-        out.extend(tuple(r) for r in rows)
-    return tuple(out)
+def _stack(tl, tr, bl, br):
+    """The 2x2 block matrix [[tl, tr], [bl, br]] of shape-matched blocks."""
+    return (tuple(a + b for a, b in zip(tl, tr))
+            + tuple(a + b for a, b in zip(bl, br)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +280,8 @@ def shift_T(g):
 
 
 def shift_T_inverse(g):
-    _expect(GradedMF, g)
-    S = [s - 1 for s in g.sbar_row] + [s - 1 for s in g.s_row]
-    return GradedMF(g.f, g.W, mat_neg(g.psi), mat_neg(g.phi), S)
+    """T^-1 = tau^-h T, since T twice keeps the blocks and adds 2 to S."""
+    return tau(shift_T(g), -g.W.h)
 
 
 def serre(g):
@@ -319,7 +290,8 @@ def serre(g):
 
 
 def serre_inverse(g):
-    return tau(shift_T_inverse(g), 1)
+    """The inverse Serre twist tau^{1-h} T."""
+    return tau(shift_T(g), 1 - g.W.h)
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +365,9 @@ def cone(m):
     """Mapping cone of a closed morphism; fits X -> Y -> cone -> TX."""
     _expect(Morphism, m)
     X, Y = m.src, m.dst
-    phi_c = mat_block(
-        [
-            [mat_neg(X.psi), None],
-            [m.phi0, Y.phi],
-        ]
-    )
-    psi_c = mat_block(
-        [
-            [mat_neg(X.phi), None],
-            [m.phi1, Y.psi],
-        ]
-    )
+    gap = mat_zero(X.r, Y.r)
+    phi_c = _stack(mat_neg(X.psi), gap, m.phi0, Y.phi)
+    psi_c = _stack(mat_neg(X.phi), gap, m.phi1, Y.psi)
     S = (
         [s + 1 for s in X.sbar_row]
         + list(Y.s_row)
@@ -418,8 +381,9 @@ def direct_sum(a, b):
     _expect(GradedMF, a, b)
     if a.f != b.f or a.W != b.W:
         raise PolyError("direct sum needs matching potential and weights")
-    phi = mat_block([[a.phi, None], [None, b.phi]])
-    psi = mat_block([[a.psi, None], [None, b.psi]])
+    ab, ba = mat_zero(a.r, b.r), mat_zero(b.r, a.r)
+    phi = _stack(a.phi, ab, ba, b.phi)
+    psi = _stack(a.psi, ab, ba, b.psi)
     S = list(a.s_row) + list(b.s_row) + list(a.sbar_row) + list(b.sbar_row)
     return GradedMF(a.f, a.W, phi, psi, S)
 

@@ -194,12 +194,10 @@ def hn_filtration(g):
     if any(phases[i] <= phases[i + 1] for i in range(len(phases) - 1)):
         raise ArithmeticError("piece phases are not strictly decreasing")
     triangles = []
-    below = []
     prev_obj = _sum_object(cat, [])
     for phase, factors in pieces:
         piece_obj = _sum_object(cat, factors)
-        below.extend(factors)
-        cur_obj = _sum_object(cat, below)
+        cur_obj = direct_sum(prev_obj, piece_obj)
         incl = _block_map(prev_obj, cur_obj, 0)
         proj = _block_map(cur_obj, piece_obj, cur_obj.r - piece_obj.r)
         for m in (incl, proj):

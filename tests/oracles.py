@@ -7,19 +7,25 @@ and the brute-force morphism counter assembles and solves its linear
 systems densely with sympy (its own pivoting) instead of the package
 kernel.  The unit-entry reduction keeps its first form, which copies and
 rebuilds both blocks at every pivot, and the retraction test keeps its
-End-coordinate form, an exact solve in End(M) per witness pair.  Tests
-compare package output against these, never the other way around.
+End-coordinate form, an exact solve in End(M) per witness pair.  Cones and
+direct sums keep their general N x M block assembler, T^-1 and S^-1 their
+own slot arithmetic, and HN partial sums are re-summed from every factor
+below.  Tests compare package output against these, never the other way
+around.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce as _freduce
 
 import sympy
 
+from mfcat.gring import PolyError
 from mfcat.homcat import compose, hom_space
-from mfcat.mf import GradedMF, _expect
+from mfcat.mf import GradedMF, Morphism, _expect, mat_neg, mat_zero, tau
+from mfcat.stability import _block_map
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +446,113 @@ def retraction_reference(cat, g, k, n):
             if EM.coordinates(compose(proj, incl))[0]:
                 return incl
     return None
+
+
+# ---------------------------------------------------------------------------
+# cones, direct sums, inverse shifts and HN partial sums, as first written
+# ---------------------------------------------------------------------------
+
+
+def mat_block(blocks):
+    """Assemble a block matrix from a 2D list of matrices (None = zero)."""
+    row_sizes = []
+    col_sizes = []
+    for bi, brow in enumerate(blocks):
+        for bj, blk in enumerate(brow):
+            if blk is None:
+                continue
+            n, m = len(blk), len(blk[0]) if blk else 0
+            if len(row_sizes) <= bi:
+                row_sizes.extend([None] * (bi + 1 - len(row_sizes)))
+            if len(col_sizes) <= bj:
+                col_sizes.extend([None] * (bj + 1 - len(col_sizes)))
+            if row_sizes[bi] is None:
+                row_sizes[bi] = n
+            if row_sizes[bi] != n:
+                raise PolyError("mat_block row %d mixes heights %d and %d"
+                                % (bi, row_sizes[bi], n))
+            if col_sizes[bj] is None:
+                col_sizes[bj] = m
+            if col_sizes[bj] != m:
+                raise PolyError("mat_block column %d mixes widths %d and %d"
+                                % (bj, col_sizes[bj], m))
+    if len(row_sizes) != len(blocks) or None in row_sizes or None in col_sizes:
+        raise PolyError("mat_block has a block row or column of Nones only")
+    out = []
+    for bi, brow in enumerate(blocks):
+        rows = [[] for _ in range(row_sizes[bi])]
+        for bj, blk in enumerate(brow):
+            if blk is None:
+                blk = mat_zero(row_sizes[bi], col_sizes[bj])
+            for i in range(row_sizes[bi]):
+                rows[i].extend(blk[i])
+        out.extend(tuple(r) for r in rows)
+    return tuple(out)
+
+
+def cone_reference(m):
+    """Mapping cone of a closed morphism; fits X -> Y -> cone -> TX."""
+    _expect(Morphism, m)
+    X, Y = m.src, m.dst
+    phi_c = mat_block(
+        [
+            [mat_neg(X.psi), None],
+            [m.phi0, Y.phi],
+        ]
+    )
+    psi_c = mat_block(
+        [
+            [mat_neg(X.phi), None],
+            [m.phi1, Y.psi],
+        ]
+    )
+    S = (
+        [s + 1 for s in X.sbar_row]
+        + list(Y.s_row)
+        + [s + 1 for s in X.s_row]
+        + list(Y.sbar_row)
+    )
+    return GradedMF(X.f, X.W, phi_c, psi_c, S)
+
+
+def direct_sum_reference(a, b):
+    _expect(GradedMF, a, b)
+    if a.f != b.f or a.W != b.W:
+        raise PolyError("direct sum needs matching potential and weights")
+    phi = mat_block([[a.phi, None], [None, b.phi]])
+    psi = mat_block([[a.psi, None], [None, b.psi]])
+    S = list(a.s_row) + list(b.s_row) + list(a.sbar_row) + list(b.sbar_row)
+    return GradedMF(a.f, a.W, phi, psi, S)
+
+
+def shift_T_inverse_reference(g):
+    _expect(GradedMF, g)
+    S = [s - 1 for s in g.sbar_row] + [s - 1 for s in g.s_row]
+    return GradedMF(g.f, g.W, mat_neg(g.psi), mat_neg(g.phi), S)
+
+
+def serre_inverse_reference(g):
+    return tau(shift_T_inverse_reference(g), 1)
+
+
+def hn_triangles_reference(cat, pieces):
+    """(inclusion, projection) per HN piece, every partial sum re-summed
+    from all the factors below it."""
+    def sum_object(classes):
+        parts = [cat.object(k, n) for (k, n) in classes]
+        if not parts:
+            return GradedMF(cat.f, cat.W, (), (), (), label="0")
+        return _freduce(direct_sum_reference, parts)
+
+    triangles = []
+    below = []
+    prev_obj = sum_object([])
+    for _, factors in pieces:
+        piece_obj = sum_object(factors)
+        below.extend(factors)
+        cur_obj = sum_object(below)
+        triangles.append((_block_map(prev_obj, cur_obj, 0),
+                          _block_map(cur_obj, piece_obj,
+                                     cur_obj.r - piece_obj.r)))
+        prev_obj = cur_obj
+    return triangles

@@ -46,6 +46,7 @@ from mfcat.mf import (
     direct_sum,
     identity_morphism,
     mat_mul,
+    mat_zero,
     permute_slots,
     reduce,
     serre,
@@ -55,6 +56,7 @@ from mfcat.mf import (
     verify_mf,
     verify_morphism,
 )
+from mfcat.stability import mass_certified
 from mfcat.tables import golden_multiset, serre_vertex
 
 
@@ -657,6 +659,57 @@ def test_ar_triangles_on_small_types():
         cat = get_catalog(t, b)
         for k in cat.diagram.vertices:
             assert ar_triangle_check(cat, k) == []
+
+
+def test_a_zero_ar_witness_is_reported():
+    cat = Catalog("E6")
+    real = homcat.hom_space
+
+    def planted(src, dst):
+        H = real(src, dst)
+        if src == serre_inverse(dst):
+            zero = mat_zero(dst.r, src.r)
+            H.basis = [Morphism(src, dst, zero, zero)]
+        return H
+
+    for k in cat.diagram.vertices:
+        assert ar_triangle_check(cat, k) == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homcat, "hom_space", planted)
+        for k in cat.diagram.vertices:
+            # the cone of zero is T(S^-1 X) + X, not the neighbor sum
+            assert ar_triangle_check(cat, k)
+
+
+def test_an_undecomposable_ar_cone_is_a_violation_not_an_error(monkeypatch):
+    def broken(cat, g):
+        raise ArithmeticError("object has a non-catalog summand")
+
+    monkeypatch.setattr(homcat, "decompose", broken)
+    cat = Catalog("A4", 2)
+    assert ar_triangle_check(cat, 2) == [
+        "cone does not decompose at k=2: object has a non-catalog summand"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda cat: t_image(cat, 1),
+    lambda cat: serre_image(cat, 1),
+    lambda cat: class_hom_dim(cat, 1, 2, 0),
+    lambda cat: hom_multiset(cat, 1, 2),
+    lambda cat: serre_rhs_dim(cat, 1, 2, 0),
+    lambda cat: serre_duality_report(cat),
+    lambda cat: serre_multiset_mirror(cat, 1, 2),
+    lambda cat: ar_triangle_check(cat, 1),
+    lambda cat: mass_certified(cat, (Fraction(0),)),
+    lambda cat: identify_object(cat, get_catalog("E6").object(1, 0)),
+    lambda cat: decompose(cat, get_catalog("E6").object(1, 0)),
+], ids=["t_image", "serre_image", "class_hom_dim", "hom_multiset",
+        "serre_rhs_dim", "serre_duality_report", "serre_multiset_mirror",
+        "ar_triangle_check", "mass_certified", "identify_object",
+        "decompose"])
+def test_catalog_entry_points_reject_a_non_catalog_with_polyerror(call):
+    with pytest.raises(PolyError, match="expected a Catalog"):
+        call("E6")
 
 
 def test_hom_multiset_rejects_bad_vertices():

@@ -250,7 +250,8 @@ def test_rank_select_and_solve_of_random_gaussian_systems_match_the_references(
     _assert_pivot_leads(ech)
     half = len(rows) // 2
     assert (pyk.select_independent(rows[:half], rows[half:])
-            == _reference_select(rows[:half], rows[half:]))
+            == (_reference_select(rows[:half], rows[half:]),
+                _reference_rank(rows[:half])))
     if len(rows) < 3:
         return
     columns = rows[:-1]
@@ -312,11 +313,12 @@ def test_select_independent_extends_a_basis():
         rows = list(sys_.boundary_rows)
         if not rows:
             continue
-        chosen = pyk.select_independent([], rows)
+        chosen, rank_base = pyk.select_independent([], rows)
+        assert rank_base == 0
         assert pyk.rank([rows[i] for i in chosen]) == len(chosen)
         assert pyk.rank(rows) == len(chosen)
         # nothing is independent of a spanning set
-        assert pyk.select_independent(rows, rows) == []
+        assert pyk.select_independent(rows, rows) == ([], len(chosen))
 
 
 def test_solve_reproduces_the_right_hand_side():

@@ -40,7 +40,15 @@ from mfcat.mf import (
     verify_morphism,
 )
 
-from oracles import reduce_reference
+from mfcat.stability import hn_filtration
+from oracles import (
+    cone_reference,
+    direct_sum_reference,
+    hn_triangles_reference,
+    reduce_reference,
+    serre_inverse_reference,
+    shift_T_inverse_reference,
+)
 
 SPOTS = (("A4", 2, 2), ("A4", 1, 4), ("D4", None, 1), ("D5", None, 3),
          ("E6", None, 5), ("E7", None, 7))
@@ -193,6 +201,49 @@ def test_direct_sum_layout_and_reduction():
     # already-reduced objects are untouched
     r = mf_reduce(s)
     assert r.r == s.r
+
+
+def _same(got, want):
+    # by value, the order of S included
+    assert (got.phi, got.psi, got.S) == (want.phi, want.psi, want.S)
+
+
+@pytest.mark.parametrize("t,b", [("A4", 2), ("D5", None), ("E6", None)])
+def test_stacked_constructions_match_the_block_assembler_references(t, b):
+    cat = get_catalog(t, b)
+    zero = GradedMF(cat.f, cat.W, (), (), (), label="0")
+    objs = [cat.object(k, n) for k in cat.diagram.vertices for n in (0, 1)]
+    for g in objs + [zero]:
+        _same(shift_T_inverse(g), shift_T_inverse_reference(g))
+        _same(serre_inverse(g), serre_inverse_reference(g))
+        for other in objs + [zero]:
+            _same(direct_sum(g, other), direct_sum_reference(g, other))
+    maps = []
+    for X in objs:
+        maps.append(identity_morphism(X))
+        maps.extend(hom_space(serre_inverse(X), X).basis)
+        for Y in objs:
+            maps.extend(hom_space(X, Y).basis)
+        maps.append(Morphism(zero, X, [()] * X.r, [()] * X.r))
+    assert len(maps) > 3 * len(objs)
+    for m in maps:
+        _same(cone(m), cone_reference(m))
+    # the assembler rejected a map into the zero object; its cone is TX
+    for X in objs:
+        with pytest.raises(PolyError):
+            cone_reference(Morphism(X, zero, (), ()))
+        _same(cone(Morphism(X, zero, (), ())), shift_T(X))
+    rng = random.Random(5)
+    for _ in range(6):
+        picks = [rng.choice(objs) for _ in range(1 + rng.randrange(4))]
+        filt = hn_filtration(_freduce(direct_sum, picks))
+        want = hn_triangles_reference(cat, filt.pieces)
+        assert len(filt.triangles) == len(want)
+        for pair, ref_pair in zip(filt.triangles, want):
+            for m, ref in zip(pair, ref_pair):
+                _same(m.src, ref.src)
+                _same(m.dst, ref.dst)
+                assert (m.phi0, m.phi1) == (ref.phi0, ref.phi1)
 
 
 def test_direct_sum_rejects_mismatched_potentials_with_polyerror():
@@ -350,15 +401,13 @@ _OPTIMIZED_PROBE = """
 from mfcat.catalog import get_catalog
 from mfcat.gring import GaussRat, Poly, PolyError, parse_poly
 from mfcat.homcat import compose, hom_dim
-from mfcat.mf import (GradedMF, cone, mat_block, mat_mul, reduce, tau,
-                      verify_morphism)
+from mfcat.mf import GradedMF, cone, mat_mul, reduce, tau, verify_morphism
 one = ((Poly.const(1),),)
 X = get_catalog("A2").object(1, 0)
 twice = GradedMF(X.f * 2, X.W, X.phi, [[p * 2 for p in row] for row in X.psi],
                  X.S)
 for name, call in (
         ("mat_mul", lambda: mat_mul(one, ((Poly.const(2),), (Poly.const(3),)))),
-        ("mat_block", lambda: mat_block([[one, one + one]])),
         ("GaussRat", lambda: GaussRat(GaussRat(1), 5)),
         ("GaussRat(0.5)", lambda: GaussRat(0.5)),
         ("hom_dim", lambda: hom_dim(X, twice)),
@@ -384,7 +433,7 @@ def test_shape_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        "mat_mul rejected", "mat_block rejected", "GaussRat rejected",
+        "mat_mul rejected", "GaussRat rejected",
         "GaussRat(0.5) rejected", "hom_dim rejected", "cone rejected",
         "reduce rejected", "tau rejected", "compose rejected",
         "parse_poly rejected", "verify_morphism rejected"]
