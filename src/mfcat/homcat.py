@@ -136,9 +136,13 @@ class _System:
     shares, and its integer slot degrees from ``h_degrees``.  Tables are
     kept per scale, so only a partner that raises L costs new tables, and
     degrees are rescaled only for a partner that raises D.
+
+    ``cocycles=False`` or ``boundaries=False`` leaves that row family empty,
+    for a caller that already knows its rank (see :func:`hom_dim`); the
+    variables are always enumerated, so ``nvars`` is always set.
     """
 
-    def __init__(self, src, dst):
+    def __init__(self, src, dst, cocycles=True, boundaries=True):
         _expect(GradedMF, src, dst)
         _same_potential(src, dst)
         self.src = src
@@ -173,9 +177,9 @@ class _System:
                         index[mon] = len(var_keys)
                         var_keys.append((blk, i, j, mon))
         self.nvars = len(var_keys)
-        if not self.nvars:
-            self.cocycle_rows = []
-            self.boundary_rows = []
+        self.cocycle_rows = []
+        self.boundary_rows = rows = []
+        if not self.nvars or not (cocycles or boundaries):
             return
 
         L = math.lcm(_denominator(src), _denominator(dst))
@@ -185,19 +189,21 @@ class _System:
         # One row per entry and monomial of E0.  A variable meets a row in at
         # most one term and variables come in index order, so every row has
         # strictly increasing columns and no zero entry.
-        eqs = defaultdict(list)
-        for vidx, (blk, i, j, (m0, m1, m2)) in enumerate(self.var_keys):
-            if blk:
-                for k, terms in dphi.get(i, ()):
-                    for (e0, e1, e2), re, im in terms:
-                        eqs[k, j, m0 + e0, m1 + e1, m2 + e2].append((vidx, re, im))
-            else:
-                for k, terms in sphi.get(j, ()):
-                    for (e0, e1, e2), re, im in terms:
-                        eqs[i, k, m0 + e0, m1 + e1, m2 + e2].append((vidx, -re, -im))
-
-        self.cocycle_rows = [tuple(map(list, zip(*eqs[key])))
-                             for key in sorted(eqs)]
+        if cocycles:
+            eqs = defaultdict(list)
+            for vidx, (blk, i, j, (m0, m1, m2)) in enumerate(var_keys):
+                if blk:
+                    for k, terms in dphi.get(i, ()):
+                        for (e0, e1, e2), re, im in terms:
+                            eqs[k, j, m0 + e0, m1 + e1, m2 + e2].append((vidx, re, im))
+                else:
+                    for k, terms in sphi.get(j, ()):
+                        for (e0, e1, e2), re, im in terms:
+                            eqs[i, k, m0 + e0, m1 + e1, m2 + e2].append((vidx, -re, -im))
+            self.cocycle_rows = [tuple(map(list, zip(*eqs[key])))
+                                 for key in sorted(eqs)]
+        if not boundaries:
+            return
 
         # Boundary generators: the image in the variable space of every
         # admissible homotopy monomial hA (dst-first x src-second) and hB
@@ -205,8 +211,6 @@ class _System:
         # psi'*hA + hB*phi).  Block 0 variables precede block 1 ones and
         # var_keys is in lex order, so emitting the block 0 part first gives
         # strictly increasing columns.
-        self.boundary_rows = rows = []
-
         def extend(row, mons, terms, m0, m1, m2):
             cols, res, ims = row
             for (e0, e1, e2), re, im in terms:
@@ -318,16 +322,32 @@ def hom_space(src, dst):
     return HomSpace(src, dst, dim, basis, sys.entry, solve_columns)
 
 
-def hom_dim(src, dst):
+def hom_dim(src, dst, ranks=None):
     """dim Hom(src, dst) = nvars - rank Z - rank B, from exact ranks over Q(i).
 
-    Rank-only: no witness basis is built (see :func:`hom_space`).
+    Rank-only: no witness basis is built (see :func:`hom_space`).  Z is the
+    span of the cocycle rows and B that of the boundary rows.  B lies in
+    the kernel of the cocycle rows, so rank Z + rank B <= nvars: the
+    boundary rows are ranked first and the cocycle rows only until their
+    rank reaches nvars - rank B, which is exact and cuts the elimination
+    short whenever the dimension is 0.
+
+    ``ranks`` is ``(memo, z_key, b_key)``: the memo keys of the two
+    differentials of the Hom complex whose ranks are rank Z and rank B (see
+    :func:`_class_dim`).  A rank found in the memo is neither assembled nor
+    computed again, and a rank computed is stored.
     """
-    sys = _System(src, dst)
+    memo, z_key, b_key = ranks or ({}, "Z", "B")
+    rank_z, rank_b = memo.get(z_key), memo.get(b_key)
+    sys = _System(src, dst, rank_z is None, rank_b is None)
     if not sys.nvars:
         return 0
-    return (sys.nvars - kernel.rank(sys.cocycle_rows)
-            - kernel.rank(sys.boundary_rows))
+    if rank_b is None:
+        rank_b = memo[b_key] = kernel.rank(sys.boundary_rows,
+                                           sys.nvars - (rank_z or 0))
+    if rank_z is None:
+        rank_z = memo[z_key] = kernel.rank(sys.cocycle_rows, sys.nvars - rank_b)
+    return sys.nvars - rank_z - rank_b
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +744,19 @@ def class_hom_dim(cat, k, kprime, c):
 
 @_per_catalog
 def _class_dim(cat, k, kprime, n_prime):
-    return hom_dim(cat.object(k, 0), cat.object(kprime, n_prime))
+    """dim Hom(M^k_0, M^k'_n'), with its ranks shared through ``cat.memo``.
+
+    Write X_m = M^k'_m.  The Hom complex C(M^k_0, X) is 2-periodic, with
+    C^1(-, X) = C^0(-, TX), so its differential d^0_m out of C^0(-, X_m) is
+    both the cocycle map of Hom(-, X_m) and the boundary map of
+    Hom(-, T X_m), and d^1_m out of C^0(-, T X_m) is both the cocycle map
+    of Hom(-, T X_m) and the boundary map of Hom(-, X_{m+h}), as
+    T^2 X_m = X_{m+h} by value.  The memo holds rank d^p_m under
+    ``("rank_d", k, k', p, m)``, filled here and by :func:`_serre_rhs_dim`.
+    """
+    return hom_dim(cat.object(k, 0), cat.object(kprime, n_prime),
+                   (cat.memo, ("rank_d", k, kprime, 0, n_prime),
+                    ("rank_d", k, kprime, 1, n_prime - cat.h)))
 
 
 def hom_multiset(cat, k, kprime):
@@ -764,8 +796,13 @@ def serre_rhs_dim(cat, k_y, k_x, cprime):
 @_per_catalog
 def _serre_rhs_dim(cat, k_y, k_x, n):
     # S commutes with tau, so S(M^k_x_n) = tau^n S(M^k_x_0), and every twist
-    # shares the blocks of the one memoized image
-    return hom_dim(cat.object(k_y, 0), tau(_vertex_serre(cat, k_x), n))
+    # shares the blocks of the one memoized image.  That image is T M^k_x_t
+    # by value, so the target is T M^k_x_m with m = n + t, whose cocycle
+    # map is d^1_m and boundary map d^0_m (see _class_dim).
+    m = n + _serre_t_offset(cat, k_x)
+    return hom_dim(cat.object(k_y, 0), tau(_vertex_serre(cat, k_x), n),
+                   (cat.memo, ("rank_d", k_y, k_x, 1, m),
+                    ("rank_d", k_y, k_x, 0, m)))
 
 
 @_per_catalog
@@ -774,13 +811,39 @@ def _vertex_serre(cat, k):
     return serre(cat.object(k, 0))
 
 
+@_per_catalog
+def _serre_t_offset(cat, k):
+    """The t with S(M^k_0) = tau^t T(M^k_0) by value, read off the image.
+
+    ArithmeticError unless the image has the blocks of T(M^k_0) and every
+    slot moved by one common 2t/h, t an int: only then may the Serre
+    right-hand side share ranks with the class path.
+    """
+    image, shifted = _vertex_serre(cat, k), shift_T(cat.object(k, 0))
+    if image.phi != shifted.phi or image.psi != shifted.psi:
+        raise ArithmeticError("Serre image of vertex %d does not have the "
+                              "blocks of its T-image" % k)
+    steps = {(s - s0) * cat.h / 2 for s, s0 in zip(image.S, shifted.S)}
+    if len(steps) == 1 and min(steps).denominator == 1:
+        return int(min(steps))
+    raise ArithmeticError("Serre image of vertex %d is not a twist of its "
+                          "T-image" % k)
+
+
 def serre_duality_report(cat, lo=0, hi=2):
     """Check dim Hom(X,Y) = dim Hom(Y, S X) over a phase window; violations.
 
-    Both sides are computed independently: the left on catalog objects, the
-    right on the explicit Serre-image block pair (never identified back into
-    the catalog).  Results are cached per dimension class, so the sweep costs
-    one linear system per (k, k', c) class, not per object pair.
+    The left side is computed on catalog objects, the right on the explicit
+    Serre-image block pair (never identified back into the catalog), each
+    from a linear system of its own.  Results are cached per dimension
+    class, so the sweep builds one system per (k, k', c) class, not per
+    object pair.  Systems on one chain share the ranks of their
+    differentials (see :func:`_class_dim`), so each differential is ranked
+    once: the left side of a comparison reads the chain (X, Y), the right
+    the chain (Y, X), and ranks pass between comparisons.  Only when X and
+    Y sit on one vertex and c = h - 1, which needs h odd, do the two sides
+    of one comparison read one shared rank, that of the differential
+    between their two systems; both sides are then 0.
     """
     _expect(Catalog, cat)
     window = cat.objects_in_window(lo, hi)

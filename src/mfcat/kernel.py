@@ -186,17 +186,23 @@ class Echelon:
         return True
 
 
-def rank(rows):
-    """Rank of a list of sparse rows.
+def rank(rows, bound=None):
+    """Rank of a list of sparse rows, or ``min(rank, bound)``.
 
     Short rows are processed first, ties in input order (a cheap
     Markowitz-style heuristic; the result does not depend on the order, the
-    run time does).
+    run time does).  With a bound (an int >= 0), elimination stops once the
+    rank reaches it, so a caller that knows the rank cannot exceed the bound
+    gets the exact rank without reducing the rows left over.
     """
     rows = sorted(rows, key=lambda r: len(r[0]))
+    if bound is None:
+        bound = len(rows)
     ech = Echelon()
     n = 0
     for row in rows:
+        if n >= bound:
+            break
         if ech.insert(row):
             n += 1
     return n

@@ -279,11 +279,6 @@ def shift_T(g):
     return GradedMF(g.f, g.W, mat_neg(g.psi), mat_neg(g.phi), S)
 
 
-def shift_T_inverse(g):
-    """T^-1 = tau^-h T, since T twice keeps the blocks and adds 2 to S."""
-    return tau(shift_T(g), -g.W.h)
-
-
 def serre(g):
     """The Serre twist T tau^{-1}."""
     return tau(shift_T(g), -1)

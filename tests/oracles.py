@@ -10,8 +10,9 @@ rebuilds both blocks at every pivot, and the retraction test keeps its
 End-coordinate form, an exact solve in End(M) per witness pair.  Cones and
 direct sums keep their general N x M block assembler, T^-1 and S^-1 their
 own slot arithmetic, and HN partial sums are re-summed from every factor
-below.  Tests compare package output against these, never the other way
-around.
+below.  Hom dimensions keep their memo-free form, both row families of
+every system assembled and ranked in full.  Tests compare package output
+against these, never the other way around.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from functools import reduce as _freduce
 
 import sympy
 
+from mfcat import kernel
 from mfcat.gring import PolyError
-from mfcat.homcat import compose, hom_space
+from mfcat.homcat import _System, compose, hom_space
 from mfcat.mf import GradedMF, Morphism, _expect, mat_neg, mat_zero, tau
 from mfcat.stability import _block_map
 
@@ -556,3 +558,15 @@ def hn_triangles_reference(cat, pieces):
                                      cur_obj.r - piece_obj.r)))
         prev_obj = cur_obj
     return triangles
+
+
+def hom_dim_reference(src, dst):
+    """dim Hom(src, dst) = nvars - rank Z - rank B, from exact ranks over Q(i).
+
+    Rank-only: no witness basis is built (see :func:`hom_space`).
+    """
+    sys = _System(src, dst)
+    if not sys.nvars:
+        return 0
+    return (sys.nvars - kernel.rank(sys.cocycle_rows)
+            - kernel.rank(sys.boundary_rows))

@@ -86,6 +86,20 @@ def test_serre_involution_section_catches_an_off_by_one_twist(monkeypatch):
                for v in planted["Serre involution on vertices"])
 
 
+def test_serre_duality_section_counts_every_off_by_one_twist_violation(
+        monkeypatch):
+    # the right-hand side shares ranks with the class path under the twist
+    # read off the planted image, so it sees the same wrong objects as a
+    # memo-free computation would: exactly the violations of the parent
+    monkeypatch.setattr(homcat, "serre", lambda g: tau(shift_T(g), -2))
+    # a private catalog, so no mutated Serre image lands in the shared memo
+    for name, bad in climod._verify_suite(Catalog("E6")):
+        if name == "Serre duality on the (0,2] window":
+            assert len(bad) == 1298
+            return
+    raise AssertionError("no Serre duality section")
+
+
 def test_exit_codes_for_bad_inputs(tmp_path):
     assert _run("hom", "--type", "Z3", "--from", "1", "--to", "1").exit_code == 2
     assert _run("hom", "--type", "A3", "--b", "9", "--from", "1",

@@ -768,6 +768,74 @@ def test_serre_images_commute_with_tau():
                 assert twisted._block_memo is image._block_memo
 
 
+def _serre_side_calls(cat):
+    """Every class of both sides of the (0,2] Serre report, in its order."""
+    window = cat.objects_in_window(0, 2)
+    calls = []
+    for _, k_x, n_x in window:
+        for _, k_y, n_y in window:
+            c = cat.coord(k_y, n_y) - cat.coord(k_x, n_x)
+            calls.append((class_hom_dim, k_x, k_y, c))
+            calls.append((serre_rhs_dim, k_y, k_x, cat.h - 2 - c))
+    return list(dict.fromkeys(calls))
+
+
+def _serre_side_reference(cat, fn, k, kprime, c):
+    """The class dimension from memo-free systems on fresh images."""
+    if fn is class_hom_dim:
+        n = cat.twist(kprime, c, cat.sigma(k))
+        dst = None if n is None else cat.object(kprime, n)
+    else:
+        n = cat.twist(kprime, c, 2 - cat.h + cat.sigma(k))
+        dst = None if n is None else tau(serre(cat.object(kprime, 0)), n)
+    return 0 if dst is None else oracles.hom_dim_reference(cat.object(k, 0), dst)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("t,b", [("A4", 2), ("D5", None), ("E6", None)])
+def test_shared_differential_ranks_match_the_memo_free_reference(t, b, order):
+    # each class is computed on a fresh catalog, in the report's order or
+    # the reverse one, so ranks are stored by either side and read by the
+    # other; every class must equal the reference that ranks both row
+    # families of its own system in full
+    cat = Catalog(t, b)
+    calls = _serre_side_calls(cat)
+    if order == "reversed":
+        calls.reverse()
+    got = {call: call[0](cat, *call[1:]) for call in calls}
+    ranks = [key for key in cat.memo if key[0] == "rank_d"]
+    assert ranks and any(got.values())
+    fresh = Catalog(t, b)
+    for call, dim in got.items():
+        assert dim == _serre_side_reference(fresh, *call), call
+
+
+@pytest.mark.parametrize("image", ["untransposed blocks", "half a twist"])
+def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
+        monkeypatch, image):
+    def planted(g):
+        if image == "untransposed blocks":
+            return tau(g, 1 - g.W.h // 2)
+        T = shift_T(g)
+        return GradedMF(g.f, g.W, T.phi, T.psi,
+                        [s - Fraction(1, g.W.h) for s in T.S])
+
+    monkeypatch.setattr(homcat, "serre", planted)
+    cat = Catalog("D4")
+    # the ranks of the chain (2, 1) that the right-hand side would read
+    for c in range(-cat.h, 2 * cat.h):
+        class_hom_dim(cat, 2, 1, c)
+    before = dict(cat.memo)
+    calls = _count_calls(monkeypatch, "hom_dim")
+    # one of two neighbouring phases is parity-admissible
+    with pytest.raises(ArithmeticError, match="Serre image of vertex 1"):
+        for c in (1, 2):
+            serre_rhs_dim(cat, 2, 1, c)
+    assert calls["hom_dim"] == []
+    assert {k: v for k, v in cat.memo.items()
+            if k[0] != "_vertex_serre"} == before
+
+
 def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
     calls = _count_calls(monkeypatch, "compose", "hom_space")
     solves = []

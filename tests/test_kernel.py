@@ -268,6 +268,13 @@ def test_rank_select_and_solve_of_random_gaussian_systems_match_the_references(
     _assert_solves(columns, rhs, pyk.solve(columns, rhs))
 
 
+@settings(max_examples=200)
+@given(gaussian_systems, st.integers(0, 10))
+def test_a_bounded_rank_is_the_rank_capped_at_the_bound(system, bound):
+    _, rows = system
+    assert pyk.rank(rows, bound) == min(_reference_rank(rows), bound)
+
+
 @given(row_factors, st.lists(st.tuples(st.integers(0, 6), gauss_entries), max_size=7))
 def test_row_normalize_puts_the_lead_in_the_first_quadrant(factor, items):
     row = _scaled_row(factor, items)
