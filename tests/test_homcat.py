@@ -815,7 +815,7 @@ def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
         monkeypatch, image):
     def planted(g):
         if image == "untransposed blocks":
-            return tau(g, 1 - g.W.h // 2)
+            return tau(g, -1)
         T = shift_T(g)
         return GradedMF(g.f, g.W, T.phi, T.psi,
                         [s - Fraction(1, g.W.h) for s in T.S])
