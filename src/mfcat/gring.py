@@ -182,6 +182,7 @@ def _coerce(v):
 
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
+_UNIT = {(0, 0, 0): ONE}  # the terms of the constant 1
 IMAG = GaussRat(0, 1)
 
 
@@ -285,6 +286,12 @@ class Poly:
             if not c:
                 return Poly()
             return Poly({e: co * c for e, co in self.terms.items()})
+        # A product by the constant 1 is the other operand itself: no Poly
+        # mutates its terms after __init__, so sharing one is safe.
+        if other.terms == _UNIT:
+            return self
+        if self.terms == _UNIT:
+            return other
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -48,6 +49,12 @@ def _same_potential(a, b):
     """PolyError unless a and b (objects or a catalog) share W and f."""
     if a.W != b.W or a.f != b.f:
         raise PolyError("morphism between different potentials or weights")
+
+
+def _same_object(a, b, what):
+    """PolyError unless objects a and b are equal by value (identity first)."""
+    if a is not b and a != b:
+        raise PolyError(what)
 
 
 def _on_catalog(cat, g):
@@ -286,7 +293,13 @@ class HomSpace:
         self._solve_columns = solve_columns
 
     def coordinates(self, m):
-        """Coefficients of [m] over ``basis``; raises if m is not closed."""
+        """Coefficients of [m] over ``basis``; raises if m is not closed.
+
+        PolyError unless m is a Morphism from ``src`` to ``dst``.
+        """
+        _expect(Morphism, m)
+        _same_object(m.src, self.src, "morphism from another source")
+        _same_object(m.dst, self.dst, "morphism to another target")
         if not self._entry:
             if m.is_zero():
                 return [GaussRat(0)] * self.dim
@@ -357,8 +370,7 @@ def hom_dim(src, dst, ranks=None):
 def compose(after, before):
     """after o before (apply ``before`` first)."""
     _expect(Morphism, after, before)
-    if after.src.S != before.dst.S or after.src.r != before.dst.r:
-        raise PolyError("composition of incompatible morphisms")
+    _same_object(after.src, before.dst, "composition of incompatible morphisms")
     return Morphism(before.src, after.dst,
                     mat_mul(after.phi0, before.phi0),
                     mat_mul(after.phi1, before.phi1))
@@ -368,8 +380,15 @@ def _mat_add(A, B):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def morphism_add(a, b):
+def _parallel(a, b):
+    """PolyError unless morphisms a and b share source and target."""
     _expect(Morphism, a, b)
+    _same_object(a.src, b.src, "morphisms between different objects")
+    _same_object(a.dst, b.dst, "morphisms between different objects")
+
+
+def morphism_add(a, b):
+    _parallel(a, b)
     return Morphism(a.src, a.dst, _mat_add(a.phi0, b.phi0),
                     _mat_add(a.phi1, b.phi1))
 
@@ -385,7 +404,7 @@ def morphism_scale(c, m):
 
 
 def morphism_eq(a, b):
-    _expect(Morphism, a, b)
+    _parallel(a, b)
     return a.phi0 == b.phi0 and a.phi1 == b.phi1
 
 
@@ -642,23 +661,79 @@ def lift_idempotent(g, e):
 # identification against the catalog
 
 
+def _constant_coords(sys, keys):
+    """Per cocycle kernel row of sys, {t: (re, im)} over the nonzero
+    coordinates of the constant monomial of phi0 entry keys[t].
+
+    A kernel row is the coefficient vector of its morphism (see
+    :meth:`_System.morphism_from_row`), so these are that morphism's
+    constant terms, as Gaussian integers.
+    """
+    where = []
+    for t, key in enumerate(keys):
+        vidx = sys.entry.get(key, {}).get((0, 0, 0))
+        if vidx is not None:
+            where.append((t, vidx))
+    if not where:
+        return []
+    out = []
+    for row in kernel.nullspace(sys.cocycle_rows, sys.nvars)[1]:
+        cols, res, ims = row
+        vec = {}
+        for t, vidx in where:
+            p = bisect_left(cols, vidx)
+            if p < len(cols) and cols[p] == vidx:
+                vec[t] = (res[p], ims[p])
+        out.append((row, vec))
+    return out
+
+
+def _pair_nonzero(u, v):
+    """True when the Gaussian-integer dot product of u and v is nonzero."""
+    re = im = 0
+    for t, (a, b) in u.items():
+        w = v.get(t)
+        if w is not None:
+            c, d = w
+            re += a * c - b * d
+            im += a * d + b * c
+    return bool(re or im)
+
+
 def _retraction(cat, g, k, n):
     """incl: M(k, n) -> g with a proj: g -> M making proj o incl != 0 in
-    End(M), both from witness bases; None if there is none.
+    End(M), incl a witness-basis vector of Hom(M, g); None if there is none.
 
     M is reduced, so a null-homotopic M -> M has all entries in (x, y, z);
     End(M) = k*id, so [proj o incl] = c*[id] with c the constant term of
-    the (0, 0) entry of (proj o incl).phi0, a sum of constant products.
+    the (0, 0) entry of (proj o incl).phi0: the dot product of the constant
+    terms of proj's row 0 and incl's column 0.  The pairing is read off the
+    cocycle kernel rows of both systems; no boundary row is assembled and
+    no witness basis chosen.  It vanishes whenever either side is a
+    boundary, as proj o incl is then null-homotopic.  Hence:
+
+    - some proj cocycle pairs nonzero with incl iff some witness-basis
+      proj does, since the cocycles are the witnesses' span plus
+      boundaries;
+    - the first kernel row of Hom(M, g) that pairs nonzero is a
+      witness-basis vector: the witness basis skips exactly the rows in
+      the span of the boundaries and the earlier picks, and every earlier
+      row pairs to zero.
+
+    So the inclusion is the one the first witness-basis vector with a
+    nonzero pairing gives, and None is returned exactly when no witness
+    pair pairs nonzero.
     """
     M = cat.object(k, n)
-    P = hom_space(g, M)
-    if P.dim == 0:
+    projs = [vec for _, vec in _constant_coords(
+        _System(g, M, boundaries=False), [(0, 0, j) for j in range(g.r)])
+        if vec]
+    if not projs:
         return None
-    rows = [[p.constant_term() for p in proj.phi0[0]] for proj in P.basis]
-    for incl in hom_space(M, g).basis:
-        col = [line[0].constant_term() for line in incl.phi0]
-        if any(sum((a * b for a, b in zip(row, col)), ZERO) for row in rows):
-            return incl
+    into = _System(M, g, boundaries=False)
+    for row, col in _constant_coords(into, [(0, i, 0) for i in range(g.r)]):
+        if col and any(_pair_nonzero(col, vec) for vec in projs):
+            return into.morphism_from_row(row)
     return None
 
 
@@ -945,17 +1020,23 @@ def _find_summand(cat, work):
 
     A retraction onto M makes incl: M -> work a split mono, so work is
     M + cone(incl); the reduced cone is reduced and homotopy equivalent to
-    the complement, hence isomorphic to it.  A candidate of work's size is
-    work itself (see :func:`_isomorphic`) and leaves the empty complement.
+    the complement, hence isomorphic to it.  A retract of work's size is
+    work itself and leaves the empty complement.  Work equal by value to a
+    candidate is that catalog object, which is indecomposable, so no
+    smaller candidate retracts from it: it is settled before any Hom
+    system is built.
     """
-    for _, k, n in _candidate_classes(cat, work):
-        if 2 * cat.nu(k) == work.r:
-            if _isomorphic(cat, work, k, n):
-                return k, n, GradedMF(work.f, work.W, (), (), (), label="0")
-            continue
+    empty = GradedMF(work.f, work.W, (), (), (), label="0")
+    cands = _candidate_classes(cat, work)
+    for _, k, n in cands:
+        if 2 * cat.nu(k) == work.r and work == cat.object(k, n):
+            return k, n, empty
+    for _, k, n in cands:
         incl = _retraction(cat, work, k, n)
         if incl is None:
             continue
+        if incl.src.r == work.r:
+            return k, n, empty
         rest = reduce(cone(incl))
         bad = verify_mf(rest) + verify_grading(rest)
         if rest.r != work.r - incl.src.r:

@@ -145,6 +145,19 @@ def test_poly_ring_laws_and_derivation(e1, e2):
         assert left == right
 
 
+@given(poly_entries, poly_entries)
+def test_a_product_by_one_is_the_other_factor_and_changes_no_operand(e1, e2):
+    p, q = _poly_from_entries(e1), _poly_from_entries(e2)
+    for one in (Poly.const(1), Poly.const(GaussRat(1)), parse_poly("1")):
+        before = [dict(f.terms) for f in (p, q, one)]
+        assert p * one == p
+        assert one * p == p
+        assert one * one == one
+        # a shared operand goes on into sums and products unchanged
+        assert (one * p) * q + p * (q * one) == (p * q) * 2
+        assert [f.terms for f in (p, q, one)] == before
+
+
 @given(poly_entries)
 def test_poly_parse_round_trip(entries):
     p = _poly_from_entries(entries)

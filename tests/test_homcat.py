@@ -243,6 +243,65 @@ def test_hom_basis_morphisms_are_strict_witnesses():
         assert all(not c for j, c in enumerate(coords) if j != i)
 
 
+def _d4_leg_identities():
+    """id on the D4 legs M^1_0 and M^3_0: equal slots, different blocks."""
+    cat = get_catalog("D4")
+    a, b = cat.object(1, 0), cat.object(3, 0)
+    assert a.S == b.S and a != b
+    return identity_morphism(a), identity_morphism(b)
+
+
+def test_compose_rejects_morphisms_through_different_objects():
+    ida, idb = _d4_leg_identities()
+    with pytest.raises(PolyError, match="incompatible"):
+        compose(ida, idb)
+    # an equal copy of the middle object composes
+    copy = GradedMF(ida.src.f, ida.src.W, ida.src.phi, ida.src.psi,
+                    ida.src.S)
+    assert copy is not ida.src
+    same = compose(ida, identity_morphism(copy))
+    assert verify_morphism(same) == []
+    assert (same.phi0, same.phi1) == (ida.phi0, ida.phi1)
+
+
+def test_morphism_eq_rejects_morphisms_between_different_objects():
+    ida, idb = _d4_leg_identities()
+    with pytest.raises(PolyError, match="different objects"):
+        homcat.morphism_eq(ida, idb)
+    assert homcat.morphism_eq(ida, identity_morphism(ida.src))
+
+
+def test_morphism_add_rejects_morphisms_between_different_objects():
+    ida, idb = _d4_leg_identities()
+    with pytest.raises(PolyError, match="different objects"):
+        homcat.morphism_add(ida, idb)
+    with pytest.raises(PolyError, match="different objects"):
+        morphism_sub(idb, ida)
+    assert homcat.morphism_eq(homcat.morphism_add(ida, ida),
+                              morphism_scale(2, ida))
+
+
+def test_coordinates_reject_a_non_morphism():
+    ida, _ = _d4_leg_identities()
+    E = hom_space(ida.src, ida.src)
+    for bad in ("x", ida.src, None, ida.phi0):
+        with pytest.raises(PolyError):
+            E.coordinates(bad)
+    assert E.coordinates(ida)[0]
+
+
+def test_coordinates_reject_a_morphism_between_other_objects():
+    ida, idb = _d4_leg_identities()
+    E = hom_space(ida.src, ida.src)
+    with pytest.raises(PolyError, match="another source"):
+        E.coordinates(idb)
+    X, Y = ida.src, get_catalog("D4").object(2, 1)
+    H = hom_space(X, Y)
+    assert H.dim
+    with pytest.raises(PolyError, match="another target"):
+        H.coordinates(identity_morphism(X))
+
+
 def test_verify_morphism_reports_a_perturbed_witness():
     cat = get_catalog("D4")
     m = hom_space(cat.object(1, 0), cat.object(3, 1)).basis[0]
@@ -493,31 +552,43 @@ def _count_calls(monkeypatch, *names):
 
 
 def _count_systems(monkeypatch):
-    """Record, per _System built, whether src equals dst by value."""
-    same = []
+    """Record every _System built, in order, with the row families asked for
+    as ``rows``; arguments are passed through, keywords included."""
+    built = []
 
     class Counted(homcat._System):
-        def __init__(self, src, dst):
-            same.append(src == dst)
-            super().__init__(src, dst)
+        def __init__(self, src, dst, cocycles=True, boundaries=True):
+            super().__init__(src, dst, cocycles=cocycles, boundaries=boundaries)
+            self.rows = (cocycles, boundaries)
+            built.append(self)
 
     monkeypatch.setattr(homcat, "_System", Counted)
-    return same
+    return built
 
 
 def test_a_catalog_object_is_settled_by_size_without_a_split(monkeypatch):
     calls = _count_calls(monkeypatch, "lift_idempotent", "_strict_split")
-    same = _count_systems(monkeypatch)
-    for t, k_built in (("D4", (2, 6)), ("E6", (2, 8))):
+    built = _count_systems(monkeypatch)
+    for t, k_built in (("D4", (2, 8)), ("E6", (2, 10))):
         cat = Catalog(t)
         for k in cat.diagram.vertices:
             for n in (0, 3):
-                del same[:]
-                assert decompose(cat, cat.object(k, n)) == [(k, n)]
-                assert not any(same)
-                # smaller candidates are still tried, through Hom systems
+                g = cat.object(k, n)
+                del built[:]
+                # equal by value: settled before any Hom system
+                assert decompose(cat, g) == [(k, n)]
+                assert built == []
+                # an unequal copy: smaller candidates are still tried,
+                # through Hom systems, and its own class by a retraction
+                perm = list(reversed(range(g.r)))
+                copy = permute_slots(g, perm, perm)
+                if copy == g:
+                    continue
+                assert decompose(cat, copy) == [(k, n)]
+                assert built
+                assert not any(sys.src == sys.dst for sys in built)
                 if k == k_built[0]:
-                    assert len(same) == k_built[1]
+                    assert len(built) == k_built[1]
     assert calls == {"lift_idempotent": [], "_strict_split": []}
 
 
@@ -602,7 +673,7 @@ def test_retraction_matches_the_end_coordinate_reference_on_images(t, b):
 
 def test_retraction_matches_the_end_coordinate_reference_on_sums():
     rng = random.Random(13)
-    for t, b in (("A4", 2), ("D5", None), ("E6", None)):
+    for t, b in (("A4", 2), ("D5", None), ("E6", None), ("D6", None)):
         cat = get_catalog(t, b)
         window = cat.objects_in_window(0, 2)
         for s in (2, 3, 2, 3):
@@ -837,7 +908,8 @@ def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
 
 
 def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
-    calls = _count_calls(monkeypatch, "compose", "hom_space")
+    calls = _count_calls(monkeypatch, "compose")
+    built = _count_systems(monkeypatch)
     solves = []
 
     def counted(*args, _real=kernel.solve):
@@ -851,8 +923,64 @@ def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
     assert decompose(cat, g) == sorted([(1, 0), (3, 1), (1, 0)],
                                        key=lambda t: (-cat.phase(*t), t[0]))
     assert calls["compose"] == solves == []
-    assert calls["hom_space"]
-    assert all(src is not dst for src, dst in calls["hom_space"])
+    # the pairings come from cocycle-only Hom systems, never End(M)
+    assert built
+    assert all(sys.rows == (True, False) and sys.src != sys.dst
+               for sys in built)
+
+
+def _row0_constants(cat, g, k, n):
+    """True when some cocycle g -> M(k, n) has a constant in row 0 of phi0.
+
+    g is reduced, so no boundary g -> M has a constant entry, and the
+    witness basis decides it.
+    """
+    return any(p.constant_term() for proj in
+               hom_space(g, cat.object(k, n)).basis for p in proj.phi0[0])
+
+
+def test_retraction_reads_kernel_rows_without_witness_bases(monkeypatch):
+    calls = _count_calls(monkeypatch, "hom_space")
+    built = _count_systems(monkeypatch)
+    selects, morphisms = [], []
+
+    def select(*args, _real=kernel.select_independent):
+        selects.append(args)
+        return _real(*args)
+
+    class Counted(Morphism):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            morphisms.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernel, "select_independent", select)
+    monkeypatch.setattr(homcat, "Morphism", Counted)
+    rng = random.Random(19)
+    seen = Counter()
+    for t in ("D4", "E6", "D6"):
+        cat = get_catalog(t)
+        window = cat.objects_in_window(0, 2)
+        objects = [shift_T(cat.object(k, 0)) for k in cat.diagram.vertices]
+        for s in (2, 3):
+            picks = [rng.choice(window)[1:] for _ in range(s)]
+            objects.append(_freduce(direct_sum,
+                                    [cat.object(k, n) for k, n in picks]))
+        for g in map(reduce, objects):
+            for _, k, n in _candidate_classes(cat, g):
+                constants = _row0_constants(cat, g, k, n)
+                for log in (calls["hom_space"], built, selects, morphisms):
+                    del log[:]
+                incl = homcat._retraction(cat, g, k, n)
+                assert calls["hom_space"] == selects == []
+                assert all(sys.rows == (True, False) and not sys.boundary_rows
+                           for sys in built)
+                assert len(morphisms) == (incl is not None)
+                assert len(built) == (2 if constants else 1)
+                seen[constants, incl is not None] += 1
+    # every branch ran: no constants, constants without and with a retraction
+    assert set(seen) == {(False, False), (True, False), (True, True)}
 
 
 def test_repeat_calls_are_answered_from_the_catalog_memo(monkeypatch):
