@@ -701,28 +701,19 @@ def _pair_nonzero(u, v):
 
 
 def _retraction(cat, g, k, n):
-    """incl: M(k, n) -> g with a proj: g -> M making proj o incl != 0 in
-    End(M), incl a witness-basis vector of Hom(M, g); None if there is none.
+    """incl: M(k, n) -> g, a witness-basis vector of Hom(M, g) with some
+    proj: g -> M making proj o incl != 0 in End(M); None if there is none.
 
-    M is reduced, so a null-homotopic M -> M has all entries in (x, y, z);
-    End(M) = k*id, so [proj o incl] = c*[id] with c the constant term of
-    the (0, 0) entry of (proj o incl).phi0: the dot product of the constant
-    terms of proj's row 0 and incl's column 0.  The pairing is read off the
-    cocycle kernel rows of both systems; no boundary row is assembled and
-    no witness basis chosen.  It vanishes whenever either side is a
-    boundary, as proj o incl is then null-homotopic.  Hence:
-
-    - some proj cocycle pairs nonzero with incl iff some witness-basis
-      proj does, since the cocycles are the witnesses' span plus
-      boundaries;
-    - the first kernel row of Hom(M, g) that pairs nonzero is a
-      witness-basis vector: the witness basis skips exactly the rows in
-      the span of the boundaries and the earlier picks, and every earlier
-      row pairs to zero.
-
-    So the inclusion is the one the first witness-basis vector with a
-    nonzero pairing gives, and None is returned exactly when no witness
-    pair pairs nonzero.
+    M is reduced and End(M) = k*id, so [proj o incl] = c*[id] with c the
+    constant term of the (0, 0) entry of (proj o incl).phi0: the dot
+    product of the constants of proj's row 0 and incl's column 0.  They are
+    read off the cocycle kernel rows of both systems, with no boundary row
+    and no witness basis, and give the witness-basis answer.  The pairing
+    vanishes when either side is a boundary (proj o incl is then
+    null-homotopic, with no constant term).  So some cocycle proj pairs
+    nonzero iff some witness does, and the first kernel row of Hom(M, g)
+    that pairs nonzero is a witness: the witness basis skips only rows in
+    the span of the boundaries and earlier picks, which all pair to zero.
     """
     M = cat.object(k, n)
     projs = [vec for _, vec in _constant_coords(
