@@ -674,8 +674,6 @@ def _constant_coords(sys, keys):
         vidx = sys.entry.get(key, {}).get((0, 0, 0))
         if vidx is not None:
             where.append((t, vidx))
-    if not where:
-        return []
     out = []
     for row in kernel.nullspace(sys.cocycle_rows, sys.nvars)[1]:
         cols, res, ims = row
