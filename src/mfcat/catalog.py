@@ -17,18 +17,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mfcat.gring import (
-    GaussRat,
+    I,
+    X,
+    Y,
+    Z,
     Poly,
     PolyError,
     ade_polynomial,
     parse_type,
 )
 from mfcat.mf import GradedMF, solve_grading, tau, verify_grading, verify_mf
-
-X = Poly.var("x")
-Y = Poly.var("y")
-Z = Poly.var("z")
-I = Poly.const(GaussRat(0, 1))
 
 
 def _p(e):

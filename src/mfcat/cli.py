@@ -100,9 +100,6 @@ _type_option = click.option("--type", "type_str", required=True,
                             help="ADE type, e.g. A5, D7, E8.")
 _b_option = click.option("--b", type=int, default=None,
                          help="second exponent for A types (default 1).")
-_threads_option = click.option("--threads", type=int, default=1,
-                               help="accepted for compatibility; all "
-                                    "computations are exact and serial.")
 
 
 @click.group()
@@ -179,8 +176,7 @@ def _verify_suite(cat):
 @cli.command()
 @_type_option
 @_b_option
-@_threads_option
-def verify(type_str, b, threads):
+def verify(type_str, b):
     """Run the full invariant suite for one type."""
     cat = _load_catalog(type_str, b)
     click.echo("verify %s (h=%d)" % (_type_id(cat), cat.h))
@@ -220,8 +216,7 @@ def _tsv_rows(cat, cells):
 @click.option("--to", "k_to", type=int, required=True, help="target vertex k'.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "tsv"]),
               default="text")
-@_threads_option
-def hom(type_str, b, k_from, k_to, fmt, threads):
+def hom(type_str, b, k_from, k_to, fmt):
     """Hom multiset c(k, k') as "c^mult" tokens."""
     cat = _load_catalog(type_str, b)
     _check_vertex(cat, k_from, "--from")
@@ -240,8 +235,7 @@ def hom(type_str, b, k_from, k_to, fmt, threads):
 @_b_option
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "tsv"]),
               default="text")
-@_threads_option
-def table3(type_str, b, fmt, threads):
+def table3(type_str, b, fmt):
     """Full l x l grid of Hom multisets, diffed against the golden table."""
     cat = _load_catalog(type_str, b)
     cells = []
@@ -294,8 +288,7 @@ def table3(type_str, b, fmt, threads):
 @_type_option
 @_b_option
 @click.option("--k", "k_only", type=int, default=None, help="single vertex.")
-@_threads_option
-def ar(type_str, b, k_only, threads):
+def ar(type_str, b, k_only):
     """Auslander-Reiten triangle checks at each vertex."""
     cat = _load_catalog(type_str, b)
     if k_only is not None:
@@ -329,8 +322,7 @@ def ar(type_str, b, k_only, threads):
 @click.option("--trials", type=click.IntRange(min=0), default=20,
               help="random direct sums for the filtration axiom.")
 @click.option("--seed", type=int, default=0)
-@_threads_option
-def stability(type_str, b, window, run_check, trials, seed, threads):
+def stability(type_str, b, window, run_check, trials, seed):
     """Central charges over a phase window; --check runs the axioms."""
     cat = _load_catalog(type_str, b)
     lo, hi = _parse_window(window)
@@ -364,8 +356,7 @@ def stability(type_str, b, window, run_check, trials, seed, threads):
               help="print the directed-path count grid.")
 @click.option("--check", "run_check", is_flag=True,
               help="verify the exceptional collection for this orientation.")
-@_threads_option
-def quiver(type_str, b, orientation, seed, show_paths, run_check, threads):
+def quiver(type_str, b, orientation, seed, show_paths, run_check):
     """Quiver orientation, path counts, and root data."""
     cat = _load_catalog(type_str, b)
     if orientation == "principal":

@@ -186,15 +186,15 @@ _UNIT = {(0, 0, 0): ONE}  # the terms of the constant 1
 IMAG = GaussRat(0, 1)
 
 
+def frac_str(fr):
+    """'p/q' for a Fraction, or 'p' when it is an integer."""
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    return "%d/%d" % (fr.numerator, fr.denominator)
+
+
 def gauss_to_str(g):
     """Canonical string for a GaussRat, parseable by parse_poly."""
-
-    def frac_str(fr):
-        return str(fr.numerator) if fr.denominator == 1 else "%d/%d" % (
-            fr.numerator,
-            fr.denominator,
-        )
-
     if not g.im:
         return frac_str(g.re)
     if not g.re:
@@ -516,6 +516,8 @@ class WeightSystem:
     __slots__ = ("a", "b", "c", "h")
 
     def __init__(self, a, b, c, h):
+        if not all(isinstance(w, int) for w in (a, b, c, h)):
+            raise PolyError("weights must be ints, got %r" % ((a, b, c, h),))
         if min(a, b, c, h) <= 0:
             raise PolyError("weights must be positive")
         if gcd(gcd(a, b), c) != 1:

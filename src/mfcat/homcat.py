@@ -726,26 +726,18 @@ def _retraction(cat, g, k, n):
     return None
 
 
-def _isomorphic(cat, g, k, n):
-    """True when reduced g is isomorphic to M(k, n), certified.
-
-    g must have M's size, and then a retraction onto M is an isomorphism
-    (a retract of equal size is); g equal to M by value needs none.
-    """
-    return 2 * cat.nu(k) == g.r and (g == cat.object(k, n)
-                                      or _retraction(cat, g, k, n) is not None)
-
-
 def identify_object(cat, g):
     """Identify g with a catalog object: returns (k, n) or None.
 
     The candidates are the classes whose slot multisets embed into reduced
-    g's; the first one isomorphic to it (see :func:`_isomorphic`) is g's.
+    g's; g is the first one of its size that it equals by value or
+    retracts onto (a retract of equal size is an isomorphism).
     """
     _on_catalog(cat, g)
     g0 = reduce(g)
     for _, k, n in _candidate_classes(cat, g0):
-        if _isomorphic(cat, g0, k, n):
+        if 2 * cat.nu(k) == g0.r and (g0 == cat.object(k, n) or
+                                      _retraction(cat, g0, k, n) is not None):
             return (k, n)
     return None
 
@@ -778,14 +770,13 @@ def t_image(cat, k):
 
 @_per_catalog
 def serre_image(cat, k):
-    """(k', n') with S(M^k_0) isomorphic to M^{k'}_{n'}, certified."""
-    res = identify_object(cat, serre(cat.object(k, 0)))
-    if res is None:
-        raise ArithmeticError("Serre image of vertex %d not found" % k)
-    kT, _ = t_image(cat, k)
-    if res[0] != kT:
-        raise ArithmeticError("Serre image disagrees with the T-image vertex")
-    return res
+    """(k', n') with S(M^k_0) isomorphic to M^{k'}_{n'}, certified.
+
+    S(M^k_0) = tau^t T(M^k_0) by value (see :func:`_serre_t_offset`), so it
+    is the certified T-image twisted t more.
+    """
+    kT, nT = t_image(cat, k)
+    return kT, nT + _serre_t_offset(cat, k)
 
 
 # ---------------------------------------------------------------------------

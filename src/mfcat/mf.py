@@ -30,6 +30,7 @@ from mfcat.gring import (
     Poly,
     PolyError,
     WeightSystem,
+    frac_str,
     parse_poly,
     poly_to_str,
     weighted_degree,
@@ -387,8 +388,14 @@ def permute_slots(g, perm0, perm1):
     """Relabel slots: perm0 on the phi-row half, perm1 on the psi-row half.
 
     new_phi[i][j] = phi[perm0[i]][perm1[j]]; an isomorphism of graded MFs.
+    PolyError unless perm0 and perm1 are permutations of range(r).
     """
+    _expect(GradedMF, g)
     r = g.r
+    if not all(isinstance(p, (list, tuple)) and sorted(p) == list(range(r))
+               for p in (perm0, perm1)):
+        raise PolyError("slot relabelings must be permutations of range(%d)"
+                        % r)
     phi = [[g.phi[perm0[i]][perm1[j]] for j in range(r)] for i in range(r)]
     psi = [[g.psi[perm1[i]][perm0[j]] for j in range(r)] for i in range(r)]
     S = [g.S[perm0[i]] for i in range(r)] + [g.S[r + perm1[i]] for i in range(r)]
@@ -563,12 +570,6 @@ def solve_grading(W, phi, psi):
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(fr):
-    return "%d/%d" % (fr.numerator, fr.denominator) if fr.denominator != 1 else str(
-        fr.numerator
-    )
-
-
 def mf_to_json(g):
     """Plain-dict form: expression strings for entries, 'p/q' for degrees."""
     _expect(GradedMF, g)
@@ -579,7 +580,7 @@ def mf_to_json(g):
         "size": g.r,
         "phi": [[poly_to_str(p) for p in row] for row in g.phi],
         "psi": [[poly_to_str(p) for p in row] for row in g.psi],
-        "S": [_frac_str(s) for s in g.S],
+        "S": [frac_str(s) for s in g.S],
     }
 
 

@@ -13,6 +13,7 @@ from collections.abc import Mapping
 
 from .catalog import DynkinDiagram, principal_decomposition
 from .gring import PolyError, parse_type
+from .mf import _expect
 
 __all__ = [
     "DynkinQuiver",
@@ -33,6 +34,7 @@ class DynkinQuiver:
     __slots__ = ("diagram", "orientation")
 
     def __init__(self, diagram, orientation):
+        _expect(DynkinDiagram, diagram)
         if not isinstance(orientation, Mapping):
             raise PolyError("orientation must map edges to arrows, got %s"
                             % type(orientation).__name__)
@@ -99,6 +101,7 @@ def random_orientation(type_str, b=None, seed=0):
 
 
 def reversed_quiver(q):
+    _expect(DynkinQuiver, q)
     orientation = {e: (h, t) for e, (t, h) in q.orientation.items()}
     return DynkinQuiver(q.diagram, orientation)
 
@@ -110,6 +113,7 @@ def path_hom_dims(q):
     vertex j+1, counting the empty path on the diagonal; dim is the
     total.  On a tree every count is 0 or 1.
     """
+    _expect(DynkinQuiver, q)
     l = q.diagram.l
     counts = [[0] * l for _ in range(l)]
     for k in range(1, l + 1):

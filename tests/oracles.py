@@ -11,7 +11,8 @@ End-coordinate form, an exact solve in End(M) per witness pair.  Cones and
 direct sums keep their general N x M block assembler, T^-1 and S^-1 their
 own slot arithmetic, and HN partial sums are re-summed from every factor
 below.  Hom dimensions keep their memo-free form, both row families of
-every system assembled and ranked in full.  Tests compare package output
+every system assembled and ranked in full, and Serre images their
+catalog search on the explicit image.  Tests compare package output
 against these, never the other way around.
 """
 
@@ -25,8 +26,16 @@ import sympy
 
 from mfcat import kernel
 from mfcat.gring import PolyError
-from mfcat.homcat import _System, compose, hom_space
-from mfcat.mf import GradedMF, Morphism, _expect, mat_neg, mat_zero, tau
+from mfcat.homcat import _System, compose, hom_space, identify_object, t_image
+from mfcat.mf import (
+    GradedMF,
+    Morphism,
+    _expect,
+    mat_neg,
+    mat_zero,
+    serre,
+    tau,
+)
 from mfcat.stability import _block_map
 
 
@@ -448,6 +457,17 @@ def retraction_reference(cat, g, k, n):
             if EM.coordinates(compose(proj, incl))[0]:
                 return incl
     return None
+
+
+def serre_image_reference(cat, k):
+    """(k', n') with S(M^k_0) isomorphic to M^{k'}_{n'}: a catalog search on
+    the explicit Serre image, cross-checked against the T-image vertex."""
+    res = identify_object(cat, serre(cat.object(k, 0)))
+    if res is None:
+        raise ArithmeticError("Serre image of vertex %d not found" % k)
+    if res[0] != t_image(cat, k)[0]:
+        raise ArithmeticError("Serre image disagrees with the T-image vertex")
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,8 @@ def test_weight_systems_of_the_five_families():
 
 
 def test_weight_system_rejects_bad_weights_with_polyerror():
-    for bad in ((0, 1, 1, 2), (1, 2, 3, -6), (2, 4, 6, 12)):
+    for bad in ((0, 1, 1, 2), (1, 2, 3, -6), (2, 4, 6, 12), (1, 2, "a", 4),
+                (1, 2, 1.5, 4)):
         with pytest.raises(PolyError):
             WeightSystem(*bad)
 

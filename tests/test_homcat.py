@@ -59,6 +59,8 @@ from mfcat.mf import (
 from mfcat.stability import mass_certified
 from mfcat.tables import golden_multiset, serre_vertex
 
+from helpers import CATALOG_SCOPE
+
 
 def test_hom_dim_is_a_class_function_of_the_phase_gap():
     cat = get_catalog("D5")
@@ -444,6 +446,31 @@ def test_serre_and_shift_images_are_certified_catalog_classes():
             # the phase of S X minus the phase of X is always (h-2)/h
             lhs = cat.phase(ks, ns) - cat.phase(k, 0)
             assert lhs * cat.h == cat.h - 2
+
+
+def test_serre_images_match_the_catalog_search_on_every_catalog():
+    for t, b in CATALOG_SCOPE:
+        cat = get_catalog(t, b)
+        for k in cat.diagram.vertices:
+            assert serre_image(cat, k) == oracles.serre_image_reference(
+                cat, k), (t, b, k)
+
+
+def test_serre_image_searches_the_catalog_only_for_the_t_image(monkeypatch):
+    calls = _count_calls(monkeypatch, "identify_object")
+    cat = Catalog("E6")
+    for k in cat.diagram.vertices:
+        serre_image(cat, k)
+    # one search per vertex, on T(M^k_0), made by t_image
+    assert [args[1] for args in calls["identify_object"]] == [
+        shift_T(cat.object(k, 0)) for k in cat.diagram.vertices]
+    cat = Catalog("E6")
+    for k in cat.diagram.vertices:
+        t_image(cat, k)
+    del calls["identify_object"][:]
+    for k in cat.diagram.vertices:
+        serre_image(cat, k)
+    assert calls["identify_object"] == []
 
 
 def test_identify_object_sees_through_permutation_and_shift():
@@ -905,6 +932,9 @@ def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
     assert calls["hom_dim"] == []
     assert {k: v for k, v in cat.memo.items()
             if k[0] != "_vertex_serre"} == before
+    # the catalog class of the image rests on the same certificate
+    with pytest.raises(ArithmeticError, match="Serre image of vertex 1 "):
+        serre_image(cat, 1)
 
 
 def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):

@@ -261,6 +261,21 @@ def test_permute_slots_preserves_the_contracts():
     assert sorted(p.S) == sorted(g.S)
 
 
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [-1, 0, 1, 2], None],
+                         ids=["repeated", "short", "negative", "none"])
+def test_permute_slots_rejects_a_relabeling_that_is_not_a_permutation(perm):
+    g = get_catalog("D5").object(2, 0)
+    assert g.r == 4
+    for perm0, perm1 in ((perm, [0, 1, 2, 3]), ([0, 1, 2, 3], perm)):
+        with pytest.raises(PolyError, match="permutations of range"):
+            permute_slots(g, perm0, perm1)
+
+
+def test_permute_slots_takes_a_graded_mf():
+    with pytest.raises(PolyError, match="GradedMF"):
+        permute_slots(None, [0], [0])
+
+
 def test_solve_grading_recovers_the_catalog_grading():
     for g in _objects():
         fam = solve_grading(g.W, g.phi, g.psi)

@@ -103,6 +103,17 @@ def test_orientation_must_redirect_the_tree():
         random_orientation("A3", seed=[1])
 
 
+def test_a_quiver_is_drawn_on_a_diagram():
+    with pytest.raises(PolyError, match="DynkinDiagram"):
+        DynkinQuiver(None, {})
+
+
+def test_path_counts_and_reversal_take_a_quiver():
+    for fn in (path_hom_dims, reversed_quiver):
+        with pytest.raises(PolyError, match="DynkinQuiver"):
+            fn(None)
+
+
 def test_orientation_must_map_edges_to_pairs():
     dia = DynkinDiagram("D", 4, None)
     first = dia.edges[0]
