@@ -435,13 +435,11 @@ _E_QDATA = {
 }
 
 
-def _q_data(letter, l, b, k):
-    """The (q_j; qbar_j) vectors in the deg-f = 2 scale."""
+def _q_data(letter, l, b, h, k):
+    """The (q_j; qbar_j) vectors in the deg-f = 2 scale (h: Coxeter number)."""
     if letter == "A":
-        h = l + 1
         return [Fraction(b - k, h)], [Fraction(l + 1 - b - k, h)]
     if letter == "D":
-        h = 2 * (l - 1)
         if k == 1:
             qs = [Fraction(l - 3, h)]
         elif k <= l - 2:
@@ -449,7 +447,6 @@ def _q_data(letter, l, b, k):
         else:
             qs = [Fraction(1, h)]
         return qs, list(qs)
-    h = {6: 12, 7: 18, 8: 30}[l]
     qs = [Fraction(v, h) for v in _E_QDATA[l][k]]
     return qs, list(qs)
 
@@ -504,7 +501,7 @@ class Catalog:
 
     def q_vectors(self, k):
         self._check_vertex(k)
-        return _q_data(self.letter, self.l, self.b, k)
+        return _q_data(self.letter, self.l, self.b, self.h, k)
 
     def slot_values(self, k):
         """Signed slot offsets per half at phase 0: (q, -q, ...; qbar, -qbar, ...)."""

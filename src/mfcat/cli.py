@@ -5,7 +5,7 @@ Verbs
 verify     run the full invariant suite for one type (exit 0 iff clean)
 hom        one Hom multiset as "c^mult" tokens (or json / tsv)
 table3     the full l x l grid of Hom multisets, diffed against the
-           embedded golden data (exit 1 on any mismatch)
+           mesh recursion of ZQ (exit 1 on any mismatch)
 ar         Auslander-Reiten triangle checks per vertex
 stability  central-charge table over a phase window; --check runs the
            stability axioms

@@ -135,7 +135,7 @@ class GradedMF:
         self.phi = _poly_block(phi)
         self.psi = _poly_block(psi)
         try:
-            self.S = tuple(Fraction(s) for s in S)
+            self.S = tuple(s if type(s) is Fraction else Fraction(s) for s in S)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise PolyError("malformed degrees: %s" % exc) from None
         self.label = label

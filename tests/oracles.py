@@ -2,10 +2,11 @@
 
 Everything here is deliberately redundant with the package: diagrams,
 Coxeter numbers, and the vertex involution are restated locally; the
-Hom-degree grids are regenerated from the reflection recursion alone;
-and the brute-force morphism counter assembles and solves its linear
-systems densely with sympy (its own pivoting) instead of the package
-kernel.  The unit-entry reduction keeps its first form, which copies and
+Hom-degree grids are regenerated from the reflection recursion over that
+local edge list, and also stored outright (the A closed form, the D run
+rules and the E6/E7/E8 tables), where the package derives them; and the
+brute-force morphism counter assembles and solves its linear systems
+densely with sympy (its own pivoting) instead of the package kernel.  The unit-entry reduction keeps its first form, which copies and
 rebuilds both blocks at every pivot, and the retraction test keeps its
 End-coordinate form, an exact solve in End(M) per witness pair.  Cones and
 direct sums keep their general N x M block assembler, T^-1 and S^-1 their
@@ -159,6 +160,187 @@ def mesh_violations(grid, letter, l):
             if left != right:
                 bad.append("%s%d mesh fails at (k'=%d, k=%d)" % (letter, l, kp, k))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# stored Hom-degree grids: the A closed form, the D run rules, E tables
+# ---------------------------------------------------------------------------
+
+
+def _ms(text):
+    """Parse "1 3^2 5" into ((1, 1), (3, 2), (5, 1))."""
+    out = []
+    for tok in text.split():
+        if "^" in tok:
+            c, m = tok.split("^")
+            out.append((int(c), int(m)))
+        else:
+            out.append((int(tok), 1))
+    return tuple(out)
+
+
+def _run(lo, hi, step=2):
+    """Multiset {lo, lo+step, ..., hi}, each with multiplicity one."""
+    return Counter(range(lo, hi + 1, step))
+
+
+def _pairs(counter):
+    return tuple(sorted(counter.items()))
+
+
+# ---------------------------------------------------------------------------
+# A series: single arithmetic run
+# ---------------------------------------------------------------------------
+
+
+def a_multiset(l, k, kp):
+    """c(k, k') for the path diagram on l vertices (independent of b)."""
+    lo = abs(k - kp)
+    hi = (l - 1) - abs(l + 1 - k - kp)
+    return _pairs(_run(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# D series: run rules per row type (spine 1..l-2, leaves l-1 and l)
+# ---------------------------------------------------------------------------
+
+
+def d_multiset(l, k, kp):
+    """c(k, k') for the D_l diagram; h - 2 = 2l - 4."""
+    if k > kp:
+        k, kp = kp, k
+    if k == 1:
+        if kp == 1:
+            return ((0, 1), (2 * l - 4, 1))
+        if kp <= l - 2:
+            return _pairs(Counter((kp - 1, 2 * l - 3 - kp)))
+        return ((l - 2, 1),)
+    if kp <= l - 2:
+        # both on the spine: two runs, overlapping values get multiplicity 2
+        inner = _run(kp - k, k + kp - 2)
+        outer = _run(2 * l - 2 - k - kp, 2 * l - 4 - (kp - k))
+        return _pairs(inner + outer)
+    if k <= l - 2:
+        # spine vertex against either leaf: k terms
+        return _pairs(_run(l - 1 - k, l - 3 + k))
+    # leaf against leaf: step-4 runs whose reach depends on the parity of l
+    same = k == kp
+    if (l % 2 == 0) == same:
+        return _pairs(_run(0 if same else 2, 2 * l - 4, 4))
+    return _pairs(_run(0 if same else 2, 2 * l - 6, 4))
+
+
+# ---------------------------------------------------------------------------
+# E series: explicit upper-triangle tables (rows are symmetric in k, k')
+# ---------------------------------------------------------------------------
+
+_E6_GRID = {
+    (1, 1): "0 4 6 10",
+    (1, 2): "1 3 5^2 7 9",
+    (1, 3): "2 4 6 8",
+    (1, 4): "2 4 6 8",
+    (1, 5): "3 7",
+    (1, 6): "3 7",
+    (2, 2): "0 2^2 4^3 6^3 8^2 10",
+    (2, 3): "1 3^2 5^2 7^2 9",
+    (2, 4): "1 3^2 5^2 7^2 9",
+    (2, 5): "2 4 6 8",
+    (2, 6): "2 4 6 8",
+    (3, 3): "0 2 4 6^2 8",
+    (3, 4): "2 4^2 6 8 10",
+    (3, 5): "1 5 7",
+    (3, 6): "3 5 9",
+    (4, 4): "0 2 4 6^2 8",
+    (4, 5): "3 5 9",
+    (4, 6): "1 5 7",
+    (5, 5): "0 6",
+    (5, 6): "4 10",
+    (6, 6): "0 6",
+}
+
+_E7_GRID = {
+    (1, 1): "0 6 10 16",
+    (1, 2): "1 5 7 9 11 15",
+    (1, 3): "2 4 6 8^2 10 12 14",
+    (1, 4): "3 7 9 13",
+    (1, 5): "3 5 7 9 11 13",
+    (1, 6): "4 6 10 12",
+    (1, 7): "5 11",
+    (2, 2): "0 2 4 6^2 8^2 10^2 12 14 16",
+    (2, 3): "1 3^2 5^2 7^3 9^3 11^2 13^2 15",
+    (2, 4): "2 4 6 8^2 10 12 14",
+    (2, 5): "2 4^2 6^2 8^2 10^2 12^2 14",
+    (2, 6): "3 5^2 7 9 11^2 13",
+    (2, 7): "4 6 10 12",
+    (3, 3): "0 2^2 4^3 6^4 8^4 10^4 12^3 14^2 16",
+    (3, 4): "1 3 5^2 7^2 9^2 11^2 13 15",
+    (3, 5): "1 3^2 5^3 7^3 9^3 11^3 13^2 15",
+    (3, 6): "2 4^2 6^2 8^2 10^2 12^2 14",
+    (3, 7): "3 5 7 9 11 13",
+    (4, 4): "0 4 6 8 10 12 16",
+    (4, 5): "2 4 6^2 8 10^2 12 14",
+    (4, 6): "3 5 7 9 11 13",
+    (4, 7): "4 8 12",
+    (5, 5): "0 2 4^2 6^2 8^3 10^2 12^2 14 16",
+    (5, 6): "1 3 5 7^2 9^2 11 13 15",
+    (5, 7): "2 6 8 10 14",
+    (6, 6): "0 2 6 8^2 10 14 16",
+    (6, 7): "1 7 9 15",
+    (7, 7): "0 8 16",
+}
+
+# Every E8 vertex is fixed by the involution, so each row must be
+# palindromic under c -> 28 - c.  Two cells are stored in the repaired
+# form this forces: (3, 4) carries 9^3 (pairing with 19^3) and (3, 5)
+# carries 14^4 (the self-paired centre); the mesh recursion of the engine
+# derives both, and test_tables pins them as the stored E8 cells.
+_E8_GRID = {
+    (1, 1): "0 10 18 28",
+    (1, 2): "1 9 11 17 19 27",
+    (1, 3): "2 8 10 12 16 18 20 26",
+    (1, 4): "3 7 9 11 13 15 17 19 21 25",
+    (1, 5): "4 6 8 10 12 14^2 16 18 20 22 24",
+    (1, 6): "5 9 13 15 19 23",
+    (1, 7): "5 7 11 13 15 17 21 23",
+    (1, 8): "6 12 16 22",
+    (2, 2): "0 2 8 10^2 12 16 18^2 20 26 28",
+    (2, 3): "1 3 7 9^2 11^2 13 15 17^2 19^2 21 25 27",
+    (2, 4): "2 4 6 8^2 10^2 12^2 14^2 16^2 18^2 20^2 22 24 26",
+    (2, 5): "3 5^2 7^2 9^2 11^2 13^3 15^3 17^2 19^2 21^2 23^2 25",
+    (2, 6): "4 6 8 10 12 14^2 16 18 20 22 24",
+    (2, 7): "4 6^2 8 10 12^2 14^2 16^2 18 20 22^2 24",
+    (2, 8): "5 7 11 13 15 17 21 23",
+    (3, 3): "0 2 4 6 8^2 10^3 12^2 14^2 16^2 18^3 20^2 22 24 26 28",
+    (3, 4): "1 3 5^2 7^2 9^3 11^3 13^3 15^3 17^3 19^3 21^2 23^2 25 27",
+    (3, 5): "2 4^2 6^3 8^3 10^3 12^4 14^4 16^4 18^3 20^3 22^3 24^2 26",
+    (3, 6): "3 5 7^2 9 11^2 13^2 15^2 17^2 19 21^2 23 25",
+    (3, 7): "3 5^2 7^2 9^2 11^2 13^3 15^3 17^2 19^2 21^2 23^2 25",
+    (3, 8): "4 6 8 10 12 14^2 16 18 20 22 24",
+    (4, 4): "0 2 4^2 6^3 8^3 10^4 12^4 14^4 16^4 18^4 20^3 22^3 24^2 26 28",
+    (4, 5): "1 3^2 5^3 7^4 9^4 11^5 13^5 15^5 17^5 19^4 21^4 23^3 25^2 27",
+    (4, 6): "2 4 6^2 8^2 10^2 12^3 14^2 16^3 18^2 20^2 22^2 24 26",
+    (4, 7): "2 4^2 6^2 8^3 10^3 12^3 14^4 16^3 18^3 20^3 22^2 24^2 26",
+    (4, 8): "3 5 7 9^2 11 13^2 15^2 17 19^2 21 23 25",
+    (5, 5): "0 2^2 4^3 6^4 8^5 10^6 12^6 14^6 16^6 18^6 20^5 22^4 24^3 26^2 28",
+    (5, 6): "1 3 5^2 7^2 9^3 11^3 13^3 15^3 17^3 19^3 21^2 23^2 25 27",
+    (5, 7): "1 3^2 5^2 7^3 9^4 11^4 13^4 15^4 17^4 19^4 21^3 23^2 25^2 27",
+    (5, 8): "2 4 6 8^2 10^2 12^2 14^2 16^2 18^2 20^2 22 24 26",
+    (6, 6): "0 4 6 8 10^2 12 14^2 16 18^2 20 22 24 28",
+    (6, 7): "2 4 6 8^2 10^2 12^2 14^2 16^2 18^2 20^2 22 24 26",
+    (6, 8): "3 7 9 11 13 15 17 19 21 25",
+    (7, 7): "0 2 4 6^2 8^2 10^3 12^3 14^2 16^3 18^3 20^2 22^2 24 26 28",
+    (7, 8): "1 5 7 9 11^2 13 15 17^2 19 21 23 27",
+    (8, 8): "0 6 10 12 16 18 22 28",
+}
+
+_E_GRIDS = {6: _E6_GRID, 7: _E7_GRID, 8: _E8_GRID}
+
+
+def e_multiset(l, k, kp):
+    """c(k, k') for E6/E7/E8 from the stored tables."""
+    if k > kp:
+        k, kp = kp, k
+    return _ms(_E_GRIDS[l][(k, kp)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Embedded Hom-degree tables: internal structure and the knitting oracle."""
+"""Hom-degree grids from the mesh recursion: structure and stored references."""
 
 from __future__ import annotations
 
 import pytest
 
-from mfcat.catalog import get_catalog
+from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import PolyError
-from mfcat.tables import a_multiset, d_multiset, golden_multiset, grid, serre_vertex
+from mfcat.tables import _mesh_row, golden_multiset, grid, serre_vertex
 
 import oracles
 from helpers import TYPE16
@@ -45,6 +45,8 @@ def test_serre_vertex_is_a_diagram_involution():
     for t, _ in TYPE16:
         cat = get_catalog(t)
         perm = {k: serre_vertex(t, k) for k in cat.diagram.vertices}
+        assert perm == {k: oracles.involution(t[0], cat.l, k)
+                        for k in cat.diagram.vertices}
         assert sorted(perm.values()) == list(cat.diagram.vertices)
         for k, ks in perm.items():
             assert perm[ks] == k
@@ -75,20 +77,31 @@ def test_top_degree_on_the_diagonal_detects_serre_fixed_vertices():
 
 
 def test_a_type_closed_formula_edge_cases():
-    assert a_multiset(1, 1, 1) == ((0, 1),)
-    assert a_multiset(3, 1, 3) == ((2, 1),)
-    assert a_multiset(5, 1, 5) == ((4, 1),)
-    assert a_multiset(5, 2, 4) == ((2, 1), (4, 1))
+    assert oracles.a_multiset(1, 1, 1) == ((0, 1),)
+    assert oracles.a_multiset(3, 1, 3) == ((2, 1),)
+    assert oracles.a_multiset(5, 1, 5) == ((4, 1),)
+    assert oracles.a_multiset(5, 2, 4) == ((2, 1), (4, 1))
     # nested runs on the diagonal
-    assert a_multiset(5, 3, 3) == ((0, 1), (2, 1), (4, 1))
+    assert oracles.a_multiset(5, 3, 3) == ((0, 1), (2, 1), (4, 1))
 
 
 def test_d_type_rows_match_the_knitting_oracle():
     for l in (4, 5, 6, 7, 8):
-        got = {(k, kp): d_multiset(l, k, kp)
+        got = {(k, kp): oracles.d_multiset(l, k, kp)
                for k in range(1, l + 1) for kp in range(1, l + 1)}
         want = oracles.knit_grid("D", l)
         assert got == want
+
+
+def test_all_grids_match_the_stored_references():
+    # the A closed form, the D run rules and the E tables, cell by cell;
+    # this pins the two repaired E8 cells (3, 4) and (3, 5) as well
+    stored = {"A": oracles.a_multiset, "D": oracles.d_multiset,
+              "E": oracles.e_multiset}
+    for t, _ in TYPE16:
+        letter, l = t[0], int(t[1:])
+        assert grid(t) == {(k, kp): stored[letter](l, k, kp)
+                           for k in range(1, l + 1) for kp in range(1, l + 1)}
 
 
 def test_all_grids_match_the_knitting_oracle():
@@ -114,3 +127,20 @@ def test_vertex_range_is_validated():
         golden_multiset("E6", 1, "a")
     with pytest.raises(PolyError):
         serre_vertex("E6", "a")
+
+
+@pytest.mark.parametrize("plant", ["h+1", "h-1", "cycle"])
+def test_mesh_recursion_refuses_a_wrong_coxeter_number_or_diagram(plant):
+    # a fresh catalog, so no planted row reaches the shared memo
+    cat = Catalog("E6")
+    if plant == "cycle":
+        # 5 and 6 end the two long arms of E6; joining them closes a 5-cycle
+        cat.diagram._adj[5].append(6)
+        cat.diagram._adj[6].append(5)
+    else:
+        cat.h += 1 if plant == "h+1" else -1
+    for k in cat.diagram.vertices:
+        with pytest.raises(ArithmeticError):
+            _mesh_row(cat, k)
+    assert cat.memo == {}
+    assert serre_vertex("E6", 3) == 4
