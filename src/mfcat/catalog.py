@@ -540,14 +540,13 @@ class Catalog:
         if r != 2 * len(qs):
             raise ArithmeticError("block size disagrees with the q data")
         ph = self.phase(k, 0)
-        family = solve_grading(self.W, phi, psi)
-        if family is None or len(family.components) != 1:
+        first = sorted([q + ph for q in qs] + [-q + ph for q in qs])
+        second = sorted([q + ph for q in qbars] + [-q + ph for q in qbars])
+        S = solve_grading(self.W, phi, psi, sum(first) + sum(second))
+        if S is None:
             raise ArithmeticError(
                 "grading underdetermined or unsatisfiable for %s" % self._label(k, 0)
             )
-        first = sorted([q + ph for q in qs] + [-q + ph for q in qs])
-        second = sorted([q + ph for q in qbars] + [-q + ph for q in qbars])
-        S = family.pin_by_sum(sum(first) + sum(second))
         if sorted(S[:r]) != first or sorted(S[r:]) != second:
             raise ArithmeticError(
                 "solved grading disagrees with the q multiset for %s"

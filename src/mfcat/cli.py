@@ -96,6 +96,18 @@ def _type_id(cat):
     return cat.type_str
 
 
+def _grid_cells(cat):
+    """Yield ((k, k'), hom multiset, mismatch) over the l x l grid, row by
+    row; mismatch is None, or the text comparing it with golden_multiset."""
+    for k in cat.diagram.vertices:
+        for kp in cat.diagram.vertices:
+            ms = hom_multiset(cat, k, kp)
+            want = golden_multiset(cat.type_str, k, kp)
+            yield (k, kp), ms, None if ms == want else (
+                "(%d,%d): computed %s, table %s"
+                % (k, kp, _tokens(ms), _tokens(want)))
+
+
 _type_option = click.option("--type", "type_str", required=True,
                             help="ADE type, e.g. A5, D7, E8.")
 _b_option = click.option("--b", type=int, default=None,
@@ -146,15 +158,11 @@ def _verify_suite(cat):
     yield "Serre involution on vertices", bad
 
     bad = []
-    for k in cat.diagram.vertices:
-        for kp in cat.diagram.vertices:
-            got = hom_multiset(cat, k, kp)
-            want = golden_multiset(cat.type_str, k, kp)
-            if got != want:
-                bad.append("hom multiset (%d,%d): computed %s, table %s"
-                           % (k, kp, _tokens(got), _tokens(want)))
-            if not serre_multiset_mirror(cat, k, kp):
-                bad.append("multiset mirror fails at (%d,%d)" % (k, kp))
+    for (k, kp), _, mismatch in _grid_cells(cat):
+        if mismatch:
+            bad.append("hom multiset " + mismatch)
+        if not serre_multiset_mirror(cat, k, kp):
+            bad.append("multiset mirror fails at (%d,%d)" % (k, kp))
     yield "Hom grid against the embedded table", bad
 
     yield "Serre duality on the (0,2] window", serre_duality_report(cat)
@@ -240,14 +248,10 @@ def table3(type_str, b, fmt):
     cat = _load_catalog(type_str, b)
     cells = []
     mismatches = []
-    for k in cat.diagram.vertices:
-        for kp in cat.diagram.vertices:
-            ms = hom_multiset(cat, k, kp)
-            cells.append(((k, kp), ms))
-            want = golden_multiset(cat.type_str, k, kp)
-            if ms != want:
-                mismatches.append("(%d,%d): computed %s, table %s"
-                                  % (k, kp, _tokens(ms), _tokens(want)))
+    for pos, ms, mismatch in _grid_cells(cat):
+        cells.append((pos, ms))
+        if mismatch:
+            mismatches.append(mismatch)
     if fmt == "json":
         out = {
             "type": cat.type_str,

@@ -556,18 +556,22 @@ class WeightSystem:
         return "WeightSystem(%d,%d,%d;%d)" % (self.a, self.b, self.c, self.h)
 
 
-def weighted_degree(p, W):
-    """Normalized degree of a homogeneous polynomial (deg f = 2 scale).
+def integer_degree(p, W):
+    """Integer weighted degree of a homogeneous polynomial (deg f = h scale).
 
-    Returns the exact rational degree, or None when the monomials do not all
-    share one weighted degree.  Raises PolyError on the zero polynomial.
+    Returns None when the monomials do not all share one weighted degree.
+    Raises PolyError on the zero polynomial.
     """
     if not p.terms:
         raise PolyError("degree of the zero polynomial is undefined")
     degs = {W.wdeg_int(e) for e in p.terms}
-    if len(degs) != 1:
-        return None
-    return W.normalize(degs.pop())
+    return degs.pop() if len(degs) == 1 else None
+
+
+def weighted_degree(p, W):
+    """:func:`integer_degree` in the normalized scale (deg f = 2)."""
+    d = integer_degree(p, W)
+    return None if d is None else W.normalize(d)
 
 
 # ---------------------------------------------------------------------------

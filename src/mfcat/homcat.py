@@ -108,14 +108,6 @@ def _term_tables(g, scale, by_col):
     return tables
 
 
-def _h_slots(g, D):
-    """g's slot degrees on the h*D scale; D is a multiple of g's own."""
-    own, degrees = g.h_degrees()
-    if own != D:
-        degrees = [s * (D // own) for s in degrees]
-    return degrees[:g.r], degrees[g.r:]
-
-
 class _System:
     """The linear model of Hom(src, dst): variables, cocycle rows, boundaries.
 
@@ -159,8 +151,8 @@ class _System:
         rs, rd = src.r, dst.r
 
         D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
-        ss, sbs = _h_slots(src, D)
-        sd, sbd = _h_slots(dst, D)
+        ss, sbs = src.h_slots(D)
+        sd, sbd = dst.h_slots(D)
         step = 2 * D  # one unit of integer weighted degree on the h*D scale
         one = h * D  # normalized degree 1
 

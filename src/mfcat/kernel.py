@@ -216,10 +216,12 @@ def nullspace(rows, ncols):
     column, multiplied by the one positive rational that makes the gcd of
     all its parts 1.  Its entry at ``free_cols[t]`` is then a positive
     integer.  Pivot columns are the lexicographically smallest possible (an
-    invariant of the row space), so the basis is canonical.
+    invariant of the row space), so the basis is canonical.  Rows are
+    inserted short rows first, as in :func:`rank`: the basis does not depend
+    on the order, but the size of the stored pivots does.
     """
     ech = Echelon()
-    for row in rows:
+    for row in sorted(rows, key=lambda r: len(r[0])):
         ech.insert(row)
     pivots = ech.pivots
     pivot_cols = sorted(pivots)

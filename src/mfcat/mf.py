@@ -31,9 +31,9 @@ from mfcat.gring import (
     PolyError,
     WeightSystem,
     frac_str,
+    integer_degree,
     parse_poly,
     poly_to_str,
-    weighted_degree,
 )
 
 
@@ -176,6 +176,14 @@ class GradedMF:
                                        for s in self.S)
         return self._h_degrees
 
+    def h_slots(self, D):
+        """The two halves of S on the h*D scale; D is a multiple of the D
+        of :meth:`h_degrees`."""
+        own, degrees = self.h_degrees()
+        if own != D:
+            degrees = [s * (D // own) for s in degrees]
+        return degrees[:self.r], degrees[self.r:]
+
     def __eq__(self, other):
         if not isinstance(other, GradedMF):
             return NotImplemented
@@ -223,34 +231,41 @@ def verify_mf(g):
     return out
 
 
+def _degree_misses(W, mat, rows, cols, shift, D):
+    """Yield (i, j, p, deg) for each nonzero entry p of mat whose integer
+    degree misses rows[i] - cols[j] + shift on the h*D scale.
+
+    deg is p's normalized degree, or None when p is not homogeneous.
+    """
+    for i, row in enumerate(mat):
+        for j, p in enumerate(row):
+            if p:
+                d = integer_degree(p, W)
+                if d is None or 2 * D * d != rows[i] - cols[j] + shift:
+                    yield i, j, p, (d if d is None else W.normalize(d))
+
+
 def verify_grading(g):
-    """Check entrywise homogeneity against S; returns violation strings."""
+    """Check entrywise homogeneity against S; returns violation strings.
+
+    Degrees are compared as ints on the h*D scale of :meth:`GradedMF.h_slots`.
+    """
     _expect(GradedMF, g)
     out = []
-    if g.f and weighted_degree(g.f, g.W) != 2:
+    if g.f and integer_degree(g.f, g.W) != g.W.h:
         out.append("f is not homogeneous of degree 2")
+    D = g.h_degrees()[0]
+    s, sbar = g.h_slots(D)
     r = g.r
-    for mat, mname in ((g.phi, "phi"), (g.psi, "psi")):
-        for i in range(r):
-            for j in range(r):
-                p = mat[i][j]
-                if not p:
-                    continue
-                if mname == "phi":
-                    want = 1 + g.S[i] - g.S[r + j]
-                else:
-                    want = 1 + g.S[r + i] - g.S[j]
-                d = weighted_degree(p, g.W)
-                if d is None:
-                    out.append(
-                        "%s[%d][%d] = %s is not homogeneous"
-                        % (mname, i, j, poly_to_str(p))
-                    )
-                elif d != want:
-                    out.append(
-                        "%s[%d][%d] has degree %s, grading demands %s"
-                        % (mname, i, j, d, want)
-                    )
+    for mat, mname, rows, cols, i0, j0 in ((g.phi, "phi", s, sbar, 0, r),
+                                           (g.psi, "psi", sbar, s, r, 0)):
+        for i, j, p, d in _degree_misses(g.W, mat, rows, cols, g.W.h * D, D):
+            if d is None:
+                out.append("%s[%d][%d] = %s is not homogeneous"
+                           % (mname, i, j, poly_to_str(p)))
+            else:
+                out.append("%s[%d][%d] has degree %s, grading demands %s"
+                           % (mname, i, j, d, 1 + g.S[i0 + i] - g.S[j0 + j]))
     return out
 
 
@@ -307,6 +322,8 @@ class Morphism:
 
     def __init__(self, src, dst, phi0, phi1):
         _expect(GradedMF, src, dst)
+        if src.W != dst.W:
+            raise PolyError("morphism between different weight systems")
         self.src = src
         self.dst = dst
         self.phi0 = _poly_block(phi0)
@@ -333,21 +350,14 @@ def verify_morphism(m):
     _expect(Morphism, m)
     out = []
     src, dst = m.src, m.dst
-    for mat, srow, drow, name in (
-        (m.phi0, src.s_row, dst.s_row, "phi0"),
-        (m.phi1, src.sbar_row, dst.sbar_row, "phi1"),
-    ):
-        for i in range(dst.r):
-            for j in range(src.r):
-                p = mat[i][j]
-                if not p:
-                    continue
-                d = weighted_degree(p, src.W)
-                want = drow[i] - srow[j]
-                if d is None or d != want:
-                    out.append(
-                        "%s[%d][%d] degree %s, expected %s" % (name, i, j, d, want)
-                    )
+    D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
+    sslots, dslots = src.h_slots(D), dst.h_slots(D)
+    for half, mat, name in ((0, m.phi0, "phi0"), (1, m.phi1, "phi1")):
+        for i, j, _, d in _degree_misses(src.W, mat, dslots[half],
+                                         sslots[half], 0, D):
+            want = dst.S[half * dst.r + i] - src.S[half * src.r + j]
+            out.append("%s[%d][%d] degree %s, expected %s"
+                       % (name, i, j, d, want))
     # Poly is canonical (no zero coefficients), so equal products are
     # exactly a vanishing difference
     if mat_mul(dst.phi, m.phi1) != mat_mul(m.phi0, src.phi):
@@ -490,79 +500,44 @@ def reduce(g):
 # ---------------------------------------------------------------------------
 
 
-class GradingFamily:
-    """All S vectors for fixed blocks: particular + one offset per component.
+def solve_grading(W, phi, psi, total):
+    """The grading S of the blocks (phi, psi) whose degrees sum to total.
 
-    ``particular`` pins each connected component's first-reached slot to 0;
-    ``components`` lists the slot indices (into S) of each component.
-    """
-
-    __slots__ = ("particular", "components")
-
-    def __init__(self, particular, components):
-        self.particular = particular
-        self.components = components
-
-    def pin_by_sum(self, target_sum):
-        """The unique member whose degrees sum to target_sum, if the family
-        is connected; None otherwise."""
-        if len(self.components) != 1:
-            return None
-        n = len(self.particular)
-        t = (Fraction(target_sum) - sum(self.particular)) / n
-        return [s + t for s in self.particular]
-
-
-def solve_grading(W, phi, psi):
-    """Solve the entrywise degree contract for S; None when unsatisfiable.
-
-    Nonzero entries must be homogeneous; each gives a difference equation
-    between two slot degrees.  The solution set is an affine family with one
-    free offset per connected component of the constraint graph.
+    Every nonzero entry must be homogeneous, and its degree fixes the
+    difference of two slot degrees; the differences are solved as ints on
+    the h scale.  None when an entry is not homogeneous, when two paths of
+    the constraint graph demand different differences, or when the graph is
+    not connected and so leaves S free; empty blocks give None as well.
     """
     r = len(phi)
-    n = 2 * r
-    adj = [[] for _ in range(n)]
-
-    def add_edge(hi, lo, diff):
-        # S[hi] - S[lo] = diff
-        adj[hi].append((lo, diff))
-        adj[lo].append((hi, -diff))
-
-    for i in range(r):
-        for j in range(r):
-            p = phi[i][j]
-            if p:
-                d = weighted_degree(p, W)
-                if d is None:
-                    return None
-                add_edge(i, r + j, d - 1)
-            p = psi[i][j]
-            if p:
-                d = weighted_degree(p, W)
-                if d is None:
-                    return None
-                add_edge(r + i, j, d - 1)
-    particular = [None] * n
-    components = []
-    for start in range(n):
-        if particular[start] is not None:
-            continue
-        comp = []
-        particular[start] = Fraction(0)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w, diff in adj[v]:
-                want = particular[v] - diff
-                if particular[w] is None:
-                    particular[w] = want
-                    stack.append(w)
-                elif particular[w] != want:
-                    return None
-        components.append(sorted(comp))
-    return GradingFamily(particular, components)
+    if not r:
+        return None
+    adj = [[] for _ in range(2 * r)]
+    for blk, a, b in ((phi, 0, r), (psi, r, 0)):
+        for i, row in enumerate(blk):
+            for j, p in enumerate(row):
+                if p:
+                    d = integer_degree(p, W)
+                    if d is None:
+                        return None
+                    # S[a+i] - S[b+j] = 2d - h on the h scale
+                    adj[a + i].append((b + j, 2 * d - W.h))
+                    adj[b + j].append((a + i, W.h - 2 * d))
+    slots = [0] + [None] * (2 * r - 1)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, diff in adj[v]:
+            want = slots[v] - diff
+            if slots[w] is None:
+                slots[w] = want
+                stack.append(w)
+            elif slots[w] != want:
+                return None
+    if None in slots:
+        return None
+    t = (Fraction(total) * W.h - sum(slots)) / (2 * r)
+    return [(s + t) / W.h for s in slots]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
-"""Shared scope lists and small utilities for the test suite."""
+"""Shared scope lists, small utilities and a disguised-sum generator for
+the test suite."""
 
 from __future__ import annotations
+
+import functools
+import random
+
+from mfcat.gring import Poly, weighted_monomials
+from mfcat.mf import GradedMF, direct_sum, mat_identity, mat_mul, mat_neg
 
 # Every catalog the package ships: (type_str, b) with b meaningful only
 # for A types (one catalog per 1 <= b <= l).
@@ -29,3 +36,47 @@ TYPE16 = (
 
 def type_label(type_str, b):
     return "%s b=%s" % (type_str, b) if b is not None else type_str
+
+
+def _unipotent(W, slots, rng):
+    """(U, U^-1) for a seeded unipotent U of degree 0 on ``slots``.
+
+    Off the diagonal, U[i][j] is a random monomial of normalized degree
+    slots[i] - slots[j] with a small nonzero coefficient when that degree is
+    positive and attainable, and 0 otherwise.  So U - 1 is nilpotent and
+    U^-1 = sum_k (1 - U)^k is a finite sum.
+    """
+    n = len(slots)
+    N = [[Poly() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            w = (slots[i] - slots[j]) * W.h / 2  # integer weighted degree
+            if w > 0 and w.denominator == 1:
+                mons = weighted_monomials(W.a, W.b, W.c, int(w))
+                if mons:
+                    N[i][j] = Poly.monomial(rng.choice(mons),
+                                            rng.randint(-5, 5) or 1)
+    one = mat_identity(n)
+    U = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(one, N)]
+    inv, term = one, one
+    for _ in range(n):
+        term = mat_neg(mat_mul(term, N))
+        inv = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(inv, term)]
+    return U, inv
+
+
+def disguised_sum(parts, seed):
+    """The direct sum of ``parts`` after a seeded graded base change.
+
+    The phi-row slots change by a unipotent A and the psi-row slots by B
+    (see :func:`_unipotent`): phi becomes A phi B^-1 and psi becomes
+    B psi A^-1.  The result is isomorphic to the plain sum and keeps its S,
+    but its blocks show no block structure, and since A and B are 1 plus
+    entries of positive degree it has no constant entry either.
+    """
+    rng = random.Random(seed)
+    g = functools.reduce(direct_sum, parts)
+    A, A_inv = _unipotent(g.W, g.s_row, rng)
+    B, B_inv = _unipotent(g.W, g.sbar_row, rng)
+    return GradedMF(g.f, g.W, mat_mul(mat_mul(A, g.phi), B_inv),
+                    mat_mul(mat_mul(B, g.psi), A_inv), g.S)

@@ -278,11 +278,70 @@ def test_permute_slots_takes_a_graded_mf():
 
 def test_solve_grading_recovers_the_catalog_grading():
     for g in _objects():
-        fam = solve_grading(g.W, g.phi, g.psi)
-        assert fam is not None
-        assert len(fam.components) == 1
-        S = fam.pin_by_sum(sum(g.S))
-        assert list(S) == list(g.S)
+        assert solve_grading(g.W, g.phi, g.psi, sum(g.S)) == list(g.S)
+        # the sum pins the one free offset: 2r more moves every slot by 1
+        assert (solve_grading(g.W, g.phi, g.psi, sum(g.S) + 2 * g.r)
+                == [s + 1 for s in g.S])
+
+
+def test_solve_grading_refuses_a_contract_it_cannot_pin():
+    g = get_catalog("A4", 2).object(2, 0)
+    x = Poly.var("x")
+    inhomogeneous = [list(row) for row in g.phi]
+    inhomogeneous[1][0] = inhomogeneous[1][0] + x
+    contradictory = [list(row) for row in g.phi]
+    contradictory[0][0] = contradictory[0][0] * x
+    for phi in (inhomogeneous, contradictory):
+        assert solve_grading(g.W, phi, g.psi, sum(g.S)) is None
+    # a direct sum's constraint graph has one component per summand
+    s = direct_sum(g, g)
+    assert solve_grading(s.W, s.phi, s.psi, sum(s.S)) is None
+    assert solve_grading(g.W, (), (), 0) is None
+
+
+def test_grading_violation_messages_are_pinned():
+    g = get_catalog("A4", 2).object(2, 0)
+    assert (g.W.h, g.S) == (5, tuple(Fraction(n, 5) for n in (2, 2, 3, 1)))
+    moved = list(g.S)
+    moved[0] += Fraction(2, 5)
+    assert verify_grading(GradedMF(g.f, g.W, g.phi, g.psi, moved)) == [
+        "phi[0][0] has degree 4/5, grading demands 6/5",
+        "phi[0][1] has degree 6/5, grading demands 8/5",
+        "psi[0][0] has degree 6/5, grading demands 4/5",
+        "psi[1][0] has degree 4/5, grading demands 2/5",
+    ]
+    off = list(g.S)
+    off[3] += Fraction(1, 15)
+    off = GradedMF(g.f, g.W, g.phi, g.psi, off)
+    assert off.h_degrees()[0] == 3
+    assert verify_grading(off) == [
+        "phi[0][1] has degree 6/5, grading demands 17/15",
+        "phi[1][1] has degree 6/5, grading demands 17/15",
+        "psi[1][0] has degree 4/5, grading demands 13/15",
+        "psi[1][1] has degree 4/5, grading demands 13/15",
+    ]
+    phi = [list(row) for row in g.phi]
+    phi[1][0] = phi[1][0] + Poly.var("x")
+    assert verify_grading(GradedMF(g.f, g.W, phi, g.psi, g.S)) == [
+        "phi[1][0] = x+x^2 is not homogeneous"]
+    assert verify_grading(GradedMF(g.f + Poly.var("x"), g.W, g.phi, g.psi,
+                                   g.S)) == ["f is not homogeneous of degree 2"]
+
+
+def test_morphism_degree_messages_are_pinned():
+    cat = get_catalog("D4")
+    m = hom_space(cat.object(1, 0), cat.object(3, 1)).basis[0]
+    assert [[poly_to_str(p) for p in row] for row in m.phi0] == [
+        ["0", "I*y+x"], ["-1", "0"]]
+    x, zero = Poly.var("x"), Poly()
+    cocycle = ["cocycle fails: phi' phi1 != phi0 phi",
+               "cocycle fails: psi' phi0 != phi1 psi"]
+    wrong = [[zero, m.phi0[0][1] * x], [m.phi0[1][0], zero]]
+    assert verify_morphism(Morphism(m.src, m.dst, wrong, m.phi1)) == [
+        "phi0[0][1] degree 4/3, expected 2/3"] + cocycle
+    mixed = [[zero, m.phi0[0][1]], [m.phi0[1][0] + x, zero]]
+    assert verify_morphism(Morphism(m.src, m.dst, mixed, m.phi1)) == [
+        "phi0[1][0] degree None, expected 0"] + cocycle
 
 
 def test_json_round_trip_is_faithful():
@@ -408,6 +467,11 @@ def test_morphism_rejects_blocks_of_non_poly_entries():
     for src, dst in (("x", g), (g, None)):
         with pytest.raises(PolyError):
             Morphism(src, dst, g.phi, g.phi)
+    # slot degrees on two weight systems are not comparable
+    other = get_catalog("D4").object(1, 0)
+    assert (other.r, other.W == g.W) == (g.r, False)
+    with pytest.raises(PolyError, match="different weight systems"):
+        Morphism(g, other, g.phi, g.phi)
 
 
 _OPTIMIZED_PROBE = """

@@ -7,7 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from mfcat import stability
 from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import PolyError
-from mfcat.mf import GradedMF, direct_sum, shift_T
+from mfcat.mf import GradedMF, direct_sum, shift_T, verify_grading, verify_mf
 from mfcat.quiver import path_hom_dims, principal_orientation, random_orientation
 from mfcat.stability import (
     CentralCharge,
@@ -29,6 +31,8 @@ from mfcat.stability import (
     strong_exceptionality_check,
 )
 from mfcat.quiver import positive_root_count
+
+from helpers import disguised_sum
 
 
 def test_central_charge_lies_on_the_phase_ray():
@@ -151,6 +155,27 @@ def test_hn_filtration_orders_phases_and_recovers_factors():
         for k, n in factors:
             assert cat.phase(k, n) == phase
     assert len(hn.triangles) == len(hn.pieces)
+
+
+@pytest.mark.parametrize("t,b", [("A4", 2), ("D5", None), ("E6", None)])
+def test_hn_filtration_sees_through_a_disguised_sum(t, b):
+    # a graded unipotent base change hides the block structure; with rows
+    # inserted in input order, nullspace ran for more than 90 s on the
+    # twelfth E6 sum here (r = 22)
+    cat = get_catalog(t, b)
+    objs = [cat.object(k, n) for k in cat.diagram.vertices
+            for n in range(-2, 4)]
+    rng = random.Random(1)
+    start = time.perf_counter()
+    for _ in range(12):
+        parts = [rng.choice(objs) for _ in range(2 + rng.randrange(3))]
+        plain = reduce(direct_sum, parts)
+        g = disguised_sum(parts, rng.randrange(10 ** 6))
+        assert g != plain and g.S == plain.S
+        assert verify_mf(g) == [] and verify_grading(g) == []
+        assert hn_filtration(g).pieces == hn_filtration(plain).pieces
+    # about a second in all; the bound only catches a blow-up
+    assert time.perf_counter() - start < 60
 
 
 def test_stability_axioms_on_a_small_type():

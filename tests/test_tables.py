@@ -76,23 +76,6 @@ def test_top_degree_on_the_diagonal_detects_serre_fixed_vertices():
             assert has_top == (serre_vertex(t, k) == k)
 
 
-def test_a_type_closed_formula_edge_cases():
-    assert oracles.a_multiset(1, 1, 1) == ((0, 1),)
-    assert oracles.a_multiset(3, 1, 3) == ((2, 1),)
-    assert oracles.a_multiset(5, 1, 5) == ((4, 1),)
-    assert oracles.a_multiset(5, 2, 4) == ((2, 1), (4, 1))
-    # nested runs on the diagonal
-    assert oracles.a_multiset(5, 3, 3) == ((0, 1), (2, 1), (4, 1))
-
-
-def test_d_type_rows_match_the_knitting_oracle():
-    for l in (4, 5, 6, 7, 8):
-        got = {(k, kp): oracles.d_multiset(l, k, kp)
-               for k in range(1, l + 1) for kp in range(1, l + 1)}
-        want = oracles.knit_grid("D", l)
-        assert got == want
-
-
 def test_all_grids_match_the_stored_references():
     # the A closed form, the D run rules and the E tables, cell by cell;
     # this pins the two repaired E8 cells (3, 4) and (3, 5) as well
@@ -102,6 +85,13 @@ def test_all_grids_match_the_stored_references():
         letter, l = t[0], int(t[1:])
         assert grid(t) == {(k, kp): stored[letter](l, k, kp)
                            for k in range(1, l + 1) for kp in range(1, l + 1)}
+    # edge cells of the A closed form, written out, with nested runs on the
+    # diagonal of A5
+    for (t, k, kp), want in {("A1", 1, 1): ((0, 1),), ("A3", 1, 3): ((2, 1),),
+                             ("A5", 1, 5): ((4, 1),),
+                             ("A5", 2, 4): ((2, 1), (4, 1)),
+                             ("A5", 3, 3): ((0, 1), (2, 1), (4, 1))}.items():
+        assert golden_multiset(t, k, kp) == want
 
 
 def test_all_grids_match_the_knitting_oracle():
