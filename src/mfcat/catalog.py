@@ -2,9 +2,9 @@
 
 For each simple polynomial the indecomposable graded matrix factorizations
 form one tau-orbit per vertex of the Dynkin diagram: M(k, n) with k a vertex
-and n the degree-shift index.  This module holds the diagrams, the block
-matrices for every vertex, and the grading data (the +/-q multisets and the
-phase (2n + sigma)/h), and builds verified GradedMF objects from them.
+and n the degree-shift index.  This module holds the diagrams and the block
+matrices for every vertex.  It solves each grading from the blocks and the
+phase (2n + sigma)/h, and builds verified GradedMF objects from them.
 
 Vertex labeling: A_l is the path 1-2-...-l (base = the y-weight parameter b);
 D_l has spine 1..l-2 with leaves l-1, l on l-2 (base l-2); E6 has the spine
@@ -408,50 +408,6 @@ def _blocks_E8(k):
 
 
 # ---------------------------------------------------------------------------
-# grading data: the q multisets of Table-style slot degrees
-# ---------------------------------------------------------------------------
-
-_E_QDATA = {
-    6: {1: (1, 5), 2: (0, 2, 4), 3: (1, 3), 4: (1, 3), 5: (2,), 6: (2,)},
-    7: {
-        1: (2, 8),
-        2: (1, 3, 7),
-        3: (0, 2, 4, 6),
-        4: (1, 5),
-        5: (1, 3, 5),
-        6: (2, 4),
-        7: (3,),
-    },
-    8: {
-        1: (4, 14),
-        2: (3, 5, 13),
-        3: (2, 4, 6, 12),
-        4: (1, 3, 5, 7, 11),
-        5: (0, 2, 4, 6, 8, 10),
-        6: (1, 5, 9),
-        7: (1, 3, 7, 9),
-        8: (2, 8),
-    },
-}
-
-
-def _q_data(letter, l, b, h, k):
-    """The (q_j; qbar_j) vectors in the deg-f = 2 scale (h: Coxeter number)."""
-    if letter == "A":
-        return [Fraction(b - k, h)], [Fraction(l + 1 - b - k, h)]
-    if letter == "D":
-        if k == 1:
-            qs = [Fraction(l - 3, h)]
-        elif k <= l - 2:
-            qs = [Fraction(l - k - 2, h), Fraction(l - k, h)]
-        else:
-            qs = [Fraction(1, h)]
-        return qs, list(qs)
-    qs = [Fraction(v, h) for v in _E_QDATA[l][k]]
-    return qs, list(qs)
-
-
-# ---------------------------------------------------------------------------
 # the catalog
 # ---------------------------------------------------------------------------
 
@@ -499,20 +455,6 @@ class Catalog:
             return None
         return n2 // 2
 
-    def q_vectors(self, k):
-        self._check_vertex(k)
-        return _q_data(self.letter, self.l, self.b, self.h, k)
-
-    def slot_values(self, k):
-        """Signed slot offsets per half at phase 0: (q, -q, ...; qbar, -qbar, ...)."""
-        qs, qbars = self.q_vectors(k)
-        first = tuple(v for q in qs for v in (q, -q))
-        second = tuple(v for q in qbars for v in (q, -q))
-        return first, second
-
-    def nu(self, k):
-        return len(self.q_vectors(k)[0])
-
     def _check_vertex(self, k):
         if not isinstance(k, int) or not 1 <= k <= self.l:
             raise PolyError("vertex %r out of range 1..%d" % (k, self.l))
@@ -523,8 +465,12 @@ class Catalog:
         return "%s k=%d n=%d" % (self.type_str, k, n)
 
     def _build_base(self, k):
-        """The verified object at n = 0; grading pinned by the q multiset."""
-        self._check_vertex(k)
+        """The verified object at n = 0, its grading solved from the blocks.
+
+        The blocks fix S up to a common shift; the shift puts the mean slot
+        on phase(k, 0).  Each half of S must then be symmetric about that
+        phase, the one property of the grading the blocks do not force.
+        """
         if self.letter == "A":
             phi, psi = _blocks_A(self.l, k)
         elif self.letter == "D":
@@ -535,23 +481,19 @@ class Catalog:
             phi, psi = _blocks_E7(k)
         else:
             phi, psi = _blocks_E8(k)
-        qs, qbars = self.q_vectors(k)
         r = len(phi)
-        if r != 2 * len(qs):
-            raise ArithmeticError("block size disagrees with the q data")
         ph = self.phase(k, 0)
-        first = sorted([q + ph for q in qs] + [-q + ph for q in qs])
-        second = sorted([q + ph for q in qbars] + [-q + ph for q in qbars])
-        S = solve_grading(self.W, phi, psi, sum(first) + sum(second))
+        S = solve_grading(self.W, phi, psi, 2 * r * ph)
         if S is None:
             raise ArithmeticError(
                 "grading underdetermined or unsatisfiable for %s" % self._label(k, 0)
             )
-        if sorted(S[:r]) != first or sorted(S[r:]) != second:
-            raise ArithmeticError(
-                "solved grading disagrees with the q multiset for %s"
-                % self._label(k, 0)
-            )
+        for half in (S[:r], S[r:]):
+            if sorted(half) != sorted(2 * ph - s for s in half):
+                raise ArithmeticError(
+                    "solved grading is not symmetric about the phase for %s"
+                    % self._label(k, 0)
+                )
         g = GradedMF(self.f, self.W, phi, psi, S, label=self._label(k, 0))
         bad = verify_mf(g) + verify_grading(g)
         if bad:
@@ -562,6 +504,7 @@ class Catalog:
 
     def object(self, k, n=0):
         """M(k, n), built once; a twist shares the blocks of M(k, 0)."""
+        self._check_vertex(k)
         if not isinstance(n, int):
             raise PolyError("twist n must be an int, got %r" % (n,))
         g = self._objects.get((k, n))

@@ -442,7 +442,7 @@ def catalog_cmd(type_str, b, fmt, out):
     for k in cat.diagram.vertices:
         g = cat.object(k, 0)
         lines.append("k=%d  size=%d  nu=%d  sigma=%d  phase=%s"
-                     % (k, g.r, cat.nu(k), cat.sigma(k), cat.phase(k, 0)))
+                     % (k, g.r, g.r // 2, cat.sigma(k), cat.phase(k, 0)))
     _emit("\n".join(lines), out)
 
 

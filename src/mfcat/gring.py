@@ -560,8 +560,10 @@ def integer_degree(p, W):
     """Integer weighted degree of a homogeneous polynomial (deg f = h scale).
 
     Returns None when the monomials do not all share one weighted degree.
-    Raises PolyError on the zero polynomial.
+    Raises PolyError on the zero polynomial or a p that is not a Poly.
     """
+    if not isinstance(p, Poly):
+        raise PolyError("expected a Poly, got %s" % type(p).__name__)
     if not p.terms:
         raise PolyError("degree of the zero polynomial is undefined")
     degs = {W.wdeg_int(e) for e in p.terms}

@@ -728,8 +728,9 @@ def identify_object(cat, g):
     _on_catalog(cat, g)
     g0 = reduce(g)
     for _, k, n in _candidate_classes(cat, g0):
-        if 2 * cat.nu(k) == g0.r and (g0 == cat.object(k, n) or
-                                      _retraction(cat, g0, k, n) is not None):
+        if cat.object(k, 0).r == g0.r and (
+                g0 == cat.object(k, n)
+                or _retraction(cat, g0, k, n) is not None):
             return (k, n)
     return None
 
@@ -737,14 +738,18 @@ def identify_object(cat, g):
 def _per_catalog(fn):
     """Memoize ``fn(cat, *args)`` in ``cat.memo`` under ``(fn.__name__,) + args``.
 
-    PolyError unless cat is a Catalog, before the memo is read.
+    PolyError unless cat is a Catalog and args hash, before the memo is read.
     """
 
     @functools.wraps(fn)
     def memoized(cat, *args):
         _expect(Catalog, cat)
         key = (fn.__name__,) + args
-        if key not in cat.memo:
+        try:
+            hit = key in cat.memo
+        except TypeError:
+            raise PolyError("unhashable arguments %r" % (args,)) from None
+        if not hit:
             cat.memo[key] = fn(cat, *args)
         return cat.memo[key]
 
@@ -955,9 +960,13 @@ def ar_triangle_check(cat, k):
 
 @_per_catalog
 def _vertex_slots(cat, k):
-    """Counters of M(k, 0)'s slot offsets per half, as ints on the h scale."""
-    return [Counter(q.numerator * cat.h // q.denominator for q in slots)
-            for slots in cat.slot_values(k)]
+    """Counters of M(k, 0)'s slot offsets from its phase per half, as ints
+    on the h scale, where every catalog slot lies."""
+    g = cat.object(k, 0)
+    c = cat.coord(k, 0)
+    degrees = g.h_degrees()[1]
+    return [Counter(s - c for s in half)
+            for half in (degrees[:g.r], degrees[g.r:])]
 
 
 def _candidate_classes(cat, work):
@@ -1001,7 +1010,7 @@ def _find_summand(cat, work):
     empty = GradedMF(work.f, work.W, (), (), (), label="0")
     cands = _candidate_classes(cat, work)
     for _, k, n in cands:
-        if 2 * cat.nu(k) == work.r and work == cat.object(k, n):
+        if cat.object(k, 0).r == work.r and work == cat.object(k, n):
             return k, n, empty
     for _, k, n in cands:
         incl = _retraction(cat, work, k, n)

@@ -508,7 +508,11 @@ def solve_grading(W, phi, psi, total):
     the h scale.  None when an entry is not homogeneous, when two paths of
     the constraint graph demand different differences, or when the graph is
     not connected and so leaves S free; empty blocks give None as well.
+    PolyError unless total is an int or a Fraction.
     """
+    if not isinstance(total, (int, Fraction)):
+        raise PolyError("grading total must be an int or a Fraction, got %r"
+                        % (total,))
     r = len(phi)
     if not r:
         return None

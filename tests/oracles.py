@@ -4,7 +4,9 @@ Everything here is deliberately redundant with the package: diagrams,
 Coxeter numbers, and the vertex involution are restated locally; the
 Hom-degree grids are regenerated from the reflection recursion over that
 local edge list, and also stored outright (the A closed form, the D run
-rules and the E6/E7/E8 tables), where the package derives them; and the
+rules and the E6/E7/E8 tables), where the package derives them; the
+paper's q table of slot offsets is stored here too, where the package
+solves each grading from its blocks and phase; and the
 brute-force morphism counter assembles and solves its linear systems
 densely with sympy (its own pivoting) instead of the package kernel.  The unit-entry reduction keeps its first form, which copies and
 rebuilds both blocks at every pivot, and the retraction test keeps its
@@ -341,6 +343,60 @@ def e_multiset(l, k, kp):
     if k > kp:
         k, kp = kp, k
     return _ms(_E_GRIDS[l][(k, kp)])
+
+
+# ---------------------------------------------------------------------------
+# stored slot data: the q multisets of Table-style slot degrees, from which
+# the package solves each grading out of its blocks and phase
+# ---------------------------------------------------------------------------
+
+_E_QDATA = {
+    6: {1: (1, 5), 2: (0, 2, 4), 3: (1, 3), 4: (1, 3), 5: (2,), 6: (2,)},
+    7: {
+        1: (2, 8),
+        2: (1, 3, 7),
+        3: (0, 2, 4, 6),
+        4: (1, 5),
+        5: (1, 3, 5),
+        6: (2, 4),
+        7: (3,),
+    },
+    8: {
+        1: (4, 14),
+        2: (3, 5, 13),
+        3: (2, 4, 6, 12),
+        4: (1, 3, 5, 7, 11),
+        5: (0, 2, 4, 6, 8, 10),
+        6: (1, 5, 9),
+        7: (1, 3, 7, 9),
+        8: (2, 8),
+    },
+}
+
+
+def q_data(letter, l, b, h, k):
+    """The (q_j; qbar_j) vectors in the deg-f = 2 scale (h: Coxeter number)."""
+    if letter == "A":
+        return [Fraction(b - k, h)], [Fraction(l + 1 - b - k, h)]
+    if letter == "D":
+        if k == 1:
+            qs = [Fraction(l - 3, h)]
+        elif k <= l - 2:
+            qs = [Fraction(l - k - 2, h), Fraction(l - k, h)]
+        else:
+            qs = [Fraction(1, h)]
+        return qs, list(qs)
+    qs = [Fraction(v, h) for v in _E_QDATA[l][k]]
+    return qs, list(qs)
+
+
+def slot_values(cat, k):
+    """Signed slot offsets of M(k, 0) per half about its phase, from
+    :func:`q_data`: (q, -q, ...; qbar, -qbar, ...)."""
+    qs, qbars = q_data(cat.letter, cat.l, cat.b, cat.h, k)
+    first = tuple(v for q in qs for v in (q, -q))
+    second = tuple(v for q in qbars for v in (q, -q))
+    return first, second
 
 
 # ---------------------------------------------------------------------------

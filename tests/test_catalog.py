@@ -14,11 +14,25 @@ from mfcat.catalog import (
     get_catalog,
     principal_decomposition,
 )
-from mfcat.gring import PolyError, ade_polynomial
-from mfcat.mf import verify_grading, verify_mf
+from mfcat.gring import PolyError, ade_polynomial, integer_degree, weighted_degree
+from mfcat.homcat import (
+    ar_triangle_check,
+    serre_image,
+    serre_multiset_mirror,
+    t_image,
+)
+from mfcat.mf import (
+    GradedMF,
+    mf_from_json,
+    mf_to_json,
+    solve_grading,
+    verify_grading,
+    verify_mf,
+)
 from mfcat.stability import check_stability_axioms
 
 from helpers import CATALOG_SCOPE
+from oracles import slot_values
 
 
 def test_diagram_shapes_and_distances():
@@ -72,20 +86,30 @@ def test_every_catalog_object_verifies():
             g = cat.object(k, 0)
             assert verify_mf(g) == []
             assert verify_grading(g) == []
-            assert g.r == 2 * cat.nu(k)
+            assert g.r == len(slot_values(cat, k)[0])
+
+
+# every shipped catalog, and A9-A12 (every b) and D9-D12 through the closed
+# forms: the engine serves any l, and only this comparison pins its gradings
+_Q_SCOPE = (list(CATALOG_SCOPE)
+            + [("A%d" % l, b) for l in range(9, 13) for b in range(1, l + 1)]
+            + [("D%d" % l, None) for l in range(9, 13)])
 
 
 def test_slot_values_are_signed_pairs_on_the_phase_ray():
-    for t, b in CATALOG_SCOPE[::7]:
+    count = 0
+    for t, b in _Q_SCOPE:
         cat = get_catalog(t, b)
         for k in cat.diagram.vertices:
-            first, second = cat.slot_values(k)
-            assert len(first) == len(second) == 2 * cat.nu(k)
-            assert sum(first) == 0 and sum(second) == 0
+            first, second = slot_values(cat, k)
             g = cat.object(k, 0)
+            assert len(first) == len(second) == g.r
+            assert sum(first) == 0 and sum(second) == 0
             ph = cat.phase(k, 0)
             assert sorted(g.S[:g.r]) == sorted(v + ph for v in first)
             assert sorted(g.S[g.r:]) == sorted(v + ph for v in second)
+            count += (t, b) in CATALOG_SCOPE
+    assert count == 255
 
 
 def test_phase_and_shift_bookkeeping():
@@ -179,6 +203,33 @@ def test_unhashable_b_and_bad_distance_vertices_raise_polyerror(call):
         call()
 
 
+_A3 = get_catalog("A3")
+_PHI, _PSI = catalog._blocks_A(3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: _A3.object([], 0), id="object-list"),
+    pytest.param(lambda: _A3.object({}, 0), id="object-dict"),
+    pytest.param(lambda: t_image(_A3, []), id="t_image"),
+    pytest.param(lambda: serre_image(_A3, []), id="serre_image"),
+    pytest.param(lambda: ar_triangle_check(_A3, []), id="ar_triangle_check"),
+    pytest.param(lambda: serre_multiset_mirror(_A3, [], 1),
+                 id="serre_multiset_mirror"),
+    pytest.param(lambda: integer_degree(3, _A3.W), id="integer_degree-int"),
+    pytest.param(lambda: integer_degree("x", _A3.W), id="integer_degree-str"),
+    pytest.param(lambda: weighted_degree(None, _A3.W), id="weighted_degree"),
+] + [
+    pytest.param(lambda total=total: solve_grading(_A3.W, _PHI, _PSI, total),
+                 id="solve_grading-%s" % name)
+    for name, total in (("None", None), ("tuple", (1,)), ("list", [1]),
+                        ("dict", {}), ("nan", float("nan")), ("float", 1.0),
+                        ("str", "1"))
+])
+def test_unhashable_vertices_non_polys_and_inexact_totals_raise_polyerror(call):
+    with pytest.raises(PolyError):
+        call()
+
+
 def test_catalogs_are_cached_and_polynomials_match():
     assert get_catalog("E6") is get_catalog("E6")
     assert get_catalog("A4", 2) is get_catalog("A4", 2)
@@ -207,3 +258,45 @@ def test_engine_integrity_failures_raise_arithmetic_error(monkeypatch):
     monkeypatch.setattr(catalog, "solve_grading", lambda *args: None)
     with pytest.raises(ArithmeticError):
         Catalog("D4").object(1, 0)
+
+
+# planted controls: each test fails if the check it plants against is removed
+
+
+def test_a_unit_change_in_one_block_entry_fails_verification(monkeypatch):
+    blocks = catalog._blocks_E6
+
+    def planted(k):
+        phi, psi = blocks(k)
+        phi = [list(row) for row in phi]
+        phi[0][0] = -phi[0][0]
+        return phi, psi
+
+    monkeypatch.setattr(catalog, "_blocks_E6", planted)
+    for k in range(1, 7):
+        with pytest.raises(ArithmeticError, match="fails verification"):
+            Catalog("E6").object(k, 0)
+
+
+def test_two_swapped_slots_fail_the_grading_check():
+    g = get_catalog("E6").object(2, 0)
+    i, j = 0, next(j for j in range(1, g.r) if g.S[j] != g.S[0])
+    S = list(g.S)
+    S[i], S[j] = S[j], S[i]
+    bad = GradedMF(g.f, g.W, g.phi, g.psi, S, label=g.label)
+    assert verify_mf(bad) == [] and verify_grading(bad)
+    with pytest.raises(PolyError, match="violates its contract"):
+        mf_from_json(mf_to_json(bad))
+
+
+def test_a_grading_off_the_phase_symmetry_is_rejected(monkeypatch):
+    solve = catalog.solve_grading
+
+    def planted(W, phi, psi, total):
+        S = solve(W, phi, psi, total)
+        r, step = len(phi), Fraction(1, W.h)
+        return [s + step for s in S[:r]] + [s - step for s in S[r:]]
+
+    monkeypatch.setattr(catalog, "solve_grading", planted)
+    with pytest.raises(ArithmeticError, match="not symmetric about the phase"):
+        Catalog("E7").object(3, 0)

@@ -502,7 +502,7 @@ def _range_scan(cat, work):
     smin, smax, h = min(work.S), max(work.S), cat.h
     cands = []
     for k in cat.diagram.vertices:
-        slots0, slots1 = cat.slot_values(k)
+        slots0, slots1 = oracles.slot_values(cat, k)
         sig = cat.sigma(k)
         lo = (smin - max(slots0)) * h
         hi = (smax - min(slots0)) * h

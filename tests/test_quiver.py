@@ -52,7 +52,7 @@ def test_highest_root_matches_the_catalog_rank_data():
         top = highest_root(t)
         assert len(top) == cat.l
         for k in cat.diagram.vertices:
-            assert top[k - 1] == cat.nu(k)
+            assert 2 * top[k - 1] == cat.object(k, 0).r
 
 
 def test_principal_orientation_points_into_the_even_side():
