@@ -560,10 +560,13 @@ def integer_degree(p, W):
     """Integer weighted degree of a homogeneous polynomial (deg f = h scale).
 
     Returns None when the monomials do not all share one weighted degree.
-    Raises PolyError on the zero polynomial or a p that is not a Poly.
+    Raises PolyError on the zero polynomial, a p that is not a Poly or a W
+    that is not a WeightSystem.
     """
     if not isinstance(p, Poly):
         raise PolyError("expected a Poly, got %s" % type(p).__name__)
+    if not isinstance(W, WeightSystem):
+        raise PolyError("expected a WeightSystem, got %s" % type(W).__name__)
     if not p.terms:
         raise PolyError("degree of the zero polynomial is undefined")
     degs = {W.wdeg_int(e) for e in p.terms}

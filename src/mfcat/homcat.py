@@ -22,6 +22,7 @@ from .gring import ZERO, GaussRat, Poly, PolyError, weighted_monomials
 from .mf import (
     GradedMF,
     Morphism,
+    _block_components,
     _expect,
     cone,
     mat_identity,
@@ -1031,22 +1032,25 @@ def _find_summand(cat, work):
 def decompose(cat, g):
     """Split g into catalog classes: sorted list of (k, n), repetitions kept.
 
-    g is reduced first; summands are found through nonzero Hom pairings
-    (a retract onto an indecomposable is a direct summand) and split off as
-    reduced cones until nothing remains.
+    g is reduced first and cut into the connected pieces of its block
+    support (a slot relabeling, so an isomorphism; Krull-Schmidt lets each
+    piece split alone).  A piece of a block sum equals its catalog summand
+    by value and builds no Hom system.  In every other piece summands are
+    found through nonzero Hom pairings (a retract onto an indecomposable is
+    a direct summand) and split off as reduced cones until nothing remains.
     """
     _on_catalog(cat, g)
-    work = reduce(g)
     out = []
-    guard = work.r + 1
-    while work.r:
-        found = _find_summand(cat, work)
-        if found is None:
-            raise ArithmeticError("object has a non-catalog summand")
-        k, n, work = found
-        out.append((k, n))
-        guard -= 1
-        if guard <= 0:
-            raise ArithmeticError("decomposition did not terminate")
+    for work in _block_components(reduce(g)):
+        guard = work.r + 1
+        while work.r:
+            found = _find_summand(cat, work)
+            if found is None:
+                raise ArithmeticError("object has a non-catalog summand")
+            k, n, work = found
+            out.append((k, n))
+            guard -= 1
+            if guard <= 0:
+                raise ArithmeticError("decomposition did not terminate")
     out.sort(key=lambda t: (-cat.phase(*t), t[0]))
     return out

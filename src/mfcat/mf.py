@@ -394,6 +394,50 @@ def direct_sum(a, b):
     return GradedMF(a.f, a.W, phi, psi, S)
 
 
+def _block_components(g):
+    """The block-diagonal pieces of g, inverting direct_sum.
+
+    Phi-row slot i and psi-row slot j are linked when phi[i][j] or
+    psi[j][i] is nonzero.  Each connected piece keeps its slots in g's
+    order, so a piece of a direct sum equals its summand by value; pieces
+    come ordered by their smallest slot, and a connected g comes back as
+    [g].  ArithmeticError when a piece has unequal halves: phi psi = f*1
+    holds piece by piece, so g is then not a factorization.
+    """
+    r = g.r
+    parent = list(range(2 * r))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i in range(r):
+        for j in range(r):
+            if g.phi[i][j].terms or g.psi[j][i].terms:
+                a, b = root(i), root(r + j)
+                parent[max(a, b)] = min(a, b)
+    pieces = {}
+    for v in range(2 * r):
+        pieces.setdefault(root(v), []).append(v)
+    if len(pieces) <= 1:
+        return [g]
+    out = []
+    for slots in pieces.values():
+        rows = [v for v in slots if v < r]
+        cols = [v - r for v in slots if v >= r]
+        if len(rows) != len(cols):
+            raise ArithmeticError("a block piece has %d phi rows and %d "
+                                  "columns: not a factorization"
+                                  % (len(rows), len(cols)))
+        out.append(GradedMF(g.f, g.W,
+                            [[g.phi[i][j] for j in cols] for i in rows],
+                            [[g.psi[j][i] for i in rows] for j in cols],
+                            [g.S[i] for i in rows] + [g.S[r + j] for j in cols]))
+    return out
+
+
 def permute_slots(g, perm0, perm1):
     """Relabel slots: perm0 on the phi-row half, perm1 on the psi-row half.
 
@@ -508,12 +552,17 @@ def solve_grading(W, phi, psi, total):
     the h scale.  None when an entry is not homogeneous, when two paths of
     the constraint graph demand different differences, or when the graph is
     not connected and so leaves S free; empty blocks give None as well.
-    PolyError unless total is an int or a Fraction.
+    PolyError unless W is a WeightSystem, phi and psi are square Poly
+    blocks of one size and total is an int or a Fraction.
     """
+    _expect(WeightSystem, W)
+    phi, psi = _poly_block(phi), _poly_block(psi)
     if not isinstance(total, (int, Fraction)):
         raise PolyError("grading total must be an int or a Fraction, got %r"
                         % (total,))
     r = len(phi)
+    if len(psi) != r or any(len(row) != r for row in phi + psi):
+        raise PolyError("phi and psi must be square blocks of one size")
     if not r:
         return None
     adj = [[] for _ in range(2 * r)]

@@ -1,11 +1,12 @@
-"""Shared scope lists, small utilities and a disguised-sum generator for
-the test suite."""
+"""Shared scope lists, small utilities, engine call counters and a
+disguised-sum generator for the test suite."""
 
 from __future__ import annotations
 
 import functools
 import random
 
+from mfcat import homcat
 from mfcat.gring import Poly, weighted_monomials
 from mfcat.mf import GradedMF, direct_sum, mat_identity, mat_mul, mat_neg
 
@@ -36,6 +37,32 @@ TYPE16 = (
 
 def type_label(type_str, b):
     return "%s b=%s" % (type_str, b) if b is not None else type_str
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap homcat functions by name; returns {name: [args, ...]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _real=getattr(homcat, name), _log=calls[name]):
+            _log.append(args)
+            return _real(*args)
+        monkeypatch.setattr(homcat, name, counted)
+    return calls
+
+
+def count_systems(monkeypatch):
+    """Record every _System built, in order, with the row families asked for
+    as ``rows``; arguments are passed through, keywords included."""
+    built = []
+
+    class Counted(homcat._System):
+        def __init__(self, src, dst, cocycles=True, boundaries=True):
+            super().__init__(src, dst, cocycles=cocycles, boundaries=boundaries)
+            self.rows = (cocycles, boundaries)
+            built.append(self)
+
+    monkeypatch.setattr(homcat, "_System", Counted)
+    return built
 
 
 def _unipotent(W, slots, rng):

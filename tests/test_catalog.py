@@ -14,7 +14,13 @@ from mfcat.catalog import (
     get_catalog,
     principal_decomposition,
 )
-from mfcat.gring import PolyError, ade_polynomial, integer_degree, weighted_degree
+from mfcat.gring import (
+    Poly,
+    PolyError,
+    ade_polynomial,
+    integer_degree,
+    weighted_degree,
+)
 from mfcat.homcat import (
     ar_triangle_check,
     serre_image,
@@ -218,6 +224,18 @@ _PHI, _PSI = catalog._blocks_A(3, 1)
     pytest.param(lambda: integer_degree(3, _A3.W), id="integer_degree-int"),
     pytest.param(lambda: integer_degree("x", _A3.W), id="integer_degree-str"),
     pytest.param(lambda: weighted_degree(None, _A3.W), id="weighted_degree"),
+    pytest.param(lambda: integer_degree(Poly.var("x"), "w"),
+                 id="integer_degree-weights"),
+    pytest.param(lambda: weighted_degree(Poly.var("x"), "w"),
+                 id="weighted_degree-weights"),
+    pytest.param(lambda: solve_grading("w", _PHI, _PSI, 0),
+                 id="solve_grading-weights"),
+    pytest.param(lambda: solve_grading(_A3.W, 5, _PSI, 0),
+                 id="solve_grading-phi"),
+    pytest.param(lambda: solve_grading(_A3.W, _PHI, 5, 0),
+                 id="solve_grading-psi"),
+    pytest.param(lambda: solve_grading(_A3.W, _PHI, _PSI[:1], 0),
+                 id="solve_grading-shape"),
 ] + [
     pytest.param(lambda total=total: solve_grading(_A3.W, _PHI, _PSI, total),
                  id="solve_grading-%s" % name)

@@ -100,6 +100,20 @@ def test_serre_duality_section_counts_every_off_by_one_twist_violation(
     raise AssertionError("no Serre duality section")
 
 
+def test_heart_count_section_catches_a_dropped_heart_object(monkeypatch):
+    # a private catalog, so the shared one keeps its whole window
+    cat = Catalog("A4", 2)
+    real = cat.objects_in_window
+
+    def dropped(lo, hi):
+        objs = real(lo, hi)
+        return objs[1:] if (lo, hi) == (0, 1) else objs
+
+    monkeypatch.setattr(cat, "objects_in_window", dropped)
+    assert dict(climod._verify_suite(cat))["heart object count"] == [
+        "heart count 9, root count 10, l*h/2 = 10"]
+
+
 def test_exit_codes_for_bad_inputs(tmp_path):
     assert _run("hom", "--type", "Z3", "--from", "1", "--to", "1").exit_code == 2
     assert _run("hom", "--type", "A3", "--b", "9", "--from", "1",

@@ -42,6 +42,7 @@ from mfcat.homcat import (
 from mfcat.mf import (
     GradedMF,
     Morphism,
+    _block_components,
     cone,
     direct_sum,
     identity_morphism,
@@ -59,7 +60,7 @@ from mfcat.mf import (
 from mfcat.stability import mass_certified
 from mfcat.tables import golden_multiset, serre_vertex
 
-from helpers import CATALOG_SCOPE
+from helpers import CATALOG_SCOPE, count_calls, count_systems, disguised_sum
 
 
 def test_hom_dim_is_a_class_function_of_the_phase_gap():
@@ -457,7 +458,7 @@ def test_serre_images_match_the_catalog_search_on_every_catalog():
 
 
 def test_serre_image_searches_the_catalog_only_for_the_t_image(monkeypatch):
-    calls = _count_calls(monkeypatch, "identify_object")
+    calls = count_calls(monkeypatch, "identify_object")
     cat = Catalog("E6")
     for k in cat.diagram.vertices:
         serre_image(cat, k)
@@ -567,35 +568,9 @@ def test_decompose_rejects_an_off_lattice_object():
         decompose(cat, _shifted(g, Fraction(1, 5)))
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap homcat functions by name; returns {name: [args, ...]}."""
-    calls = {name: [] for name in names}
-    for name in names:
-        def counted(*args, _real=getattr(homcat, name), _log=calls[name]):
-            _log.append(args)
-            return _real(*args)
-        monkeypatch.setattr(homcat, name, counted)
-    return calls
-
-
-def _count_systems(monkeypatch):
-    """Record every _System built, in order, with the row families asked for
-    as ``rows``; arguments are passed through, keywords included."""
-    built = []
-
-    class Counted(homcat._System):
-        def __init__(self, src, dst, cocycles=True, boundaries=True):
-            super().__init__(src, dst, cocycles=cocycles, boundaries=boundaries)
-            self.rows = (cocycles, boundaries)
-            built.append(self)
-
-    monkeypatch.setattr(homcat, "_System", Counted)
-    return built
-
-
 def test_a_catalog_object_is_settled_by_size_without_a_split(monkeypatch):
-    calls = _count_calls(monkeypatch, "lift_idempotent", "_strict_split")
-    built = _count_systems(monkeypatch)
+    calls = count_calls(monkeypatch, "lift_idempotent", "_strict_split")
+    built = count_systems(monkeypatch)
     for t, k_built in (("D4", (2, 8)), ("E6", (2, 10))):
         cat = Catalog(t)
         for k in cat.diagram.vertices:
@@ -620,15 +595,18 @@ def test_a_catalog_object_is_settled_by_size_without_a_split(monkeypatch):
 
 
 def test_a_sum_of_s_objects_splits_s_minus_one_times(monkeypatch):
-    calls = _count_calls(monkeypatch, "cone", "lift_idempotent",
-                         "_strict_split")
+    calls = count_calls(monkeypatch, "cone", "lift_idempotent",
+                        "_strict_split")
     rng = random.Random(11)
     for t, b in (("A4", 2), ("D5", None), ("E6", None)):
         cat = get_catalog(t, b)
         window = cat.objects_in_window(0, 2)
         for s in (1, 2, 3, 4):
             picks = [rng.choice(window)[1:] for _ in range(s)]
-            g = _freduce(direct_sum, [cat.object(k, n) for k, n in picks])
+            # disguised, so the sum is one block piece and every summand
+            # but the last is split off as a cone
+            g = disguised_sum([cat.object(k, n) for k, n in picks], s)
+            assert _block_components(g) == [g]
             for log in calls.values():
                 del log[:]
             assert sorted(decompose(cat, g)) == sorted(picks)
@@ -728,7 +706,7 @@ def test_vertex_endomorphisms_are_scalars_on_reduced_objects(t, b):
 
 def test_identify_object_of_an_unequal_copy_goes_through_a_retraction(
         monkeypatch):
-    calls = _count_calls(monkeypatch, "_retraction")
+    calls = count_calls(monkeypatch, "_retraction")
     cat = get_catalog("E6")
     g = cat.object(2, 1)
     perm = list(reversed(range(g.r)))
@@ -747,8 +725,63 @@ def test_a_complement_of_the_wrong_size_is_an_engine_error(monkeypatch):
 
     monkeypatch.setattr(homcat, "cone", whole)
     cat = get_catalog("D5")
-    g = direct_sum(cat.object(1, 0), cat.object(3, 1))
+    g = disguised_sum([cat.object(1, 0), cat.object(3, 1)], 1)
+    assert _block_components(g) == [g]
     with pytest.raises(ArithmeticError, match="complement"):
+        decompose(cat, g)
+
+
+_SPLIT_TYPES = (("A4", 2), ("D5", None), ("E6", None))
+
+
+def test_block_components_invert_direct_sums():
+    cat = get_catalog("E6")
+    parts = [cat.object(k, n) for k, n in ((1, 0), (4, 2), (1, 0), (6, -1))]
+    assert _block_components(_freduce(direct_sum, parts)) == parts
+    # a connected object comes back as itself
+    assert _block_components(parts[1])[0] is parts[1]
+
+
+def test_block_sums_decompose_without_hom_systems_or_cones(monkeypatch):
+    calls = count_calls(monkeypatch, "cone")
+    built = count_systems(monkeypatch)
+    rng = random.Random(24)
+    for t, b in _SPLIT_TYPES:
+        cat = get_catalog(t, b)
+        window = cat.objects_in_window(0, 2)
+        for s in (1, 2, 3, 4):
+            picks = [rng.choice(window)[1:] for _ in range(s)]
+            g = _freduce(direct_sum, [cat.object(k, n) for k, n in picks])
+            assert sorted(decompose(cat, g)) == sorted(picks)
+    assert built == [] and calls["cone"] == []
+
+
+def test_interleaved_block_sums_decompose_to_the_same_classes():
+    rng = random.Random(25)
+    for t, b in _SPLIT_TYPES:
+        cat = get_catalog(t, b)
+        window = cat.objects_in_window(0, 2)
+        for s in (2, 3, 4):
+            picks = [rng.choice(window)[1:] for _ in range(s)]
+            g = _freduce(direct_sum, [cat.object(k, n) for k, n in picks])
+            perm0, perm1 = list(range(g.r)), list(range(g.r))
+            rng.shuffle(perm0)
+            rng.shuffle(perm1)
+            mixed = permute_slots(g, perm0, perm1)
+            assert mixed != g
+            assert len(_block_components(mixed)) == s
+            assert sorted(decompose(cat, mixed)) == sorted(picks)
+
+
+def test_a_block_piece_with_unequal_halves_is_an_engine_error():
+    # phi rows 0 and 1 meet column 0 only: a 2 x 1 piece, which no
+    # factorization has
+    cat = get_catalog("D5")
+    x, y, z, zero = Poly.var("x"), Poly.var("y"), Poly.var("z"), Poly()
+    phi = [[x, zero, zero], [y, zero, zero], [zero, z, x]]
+    psi = [[zero] * 3 for _ in range(3)]
+    g = GradedMF(cat.f, cat.W, phi, psi, [0] * 6)
+    with pytest.raises(ArithmeticError, match="not a factorization"):
         decompose(cat, g)
 
 
@@ -924,7 +957,7 @@ def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
     for c in range(-cat.h, 2 * cat.h):
         class_hom_dim(cat, 2, 1, c)
     before = dict(cat.memo)
-    calls = _count_calls(monkeypatch, "hom_dim")
+    calls = count_calls(monkeypatch, "hom_dim")
     # one of two neighbouring phases is parity-admissible
     with pytest.raises(ArithmeticError, match="Serre image of vertex 1"):
         for c in (1, 2):
@@ -938,8 +971,8 @@ def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
 
 
 def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
-    calls = _count_calls(monkeypatch, "compose")
-    built = _count_systems(monkeypatch)
+    calls = count_calls(monkeypatch, "compose")
+    built = count_systems(monkeypatch)
     solves = []
 
     def counted(*args, _real=kernel.solve):
@@ -948,8 +981,9 @@ def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
 
     monkeypatch.setattr(kernel, "solve", counted)
     cat = Catalog("D4")
-    g = direct_sum(cat.object(1, 0), direct_sum(cat.object(3, 1),
-                                                cat.object(1, 0)))
+    g = disguised_sum([cat.object(1, 0), cat.object(3, 1), cat.object(1, 0)],
+                      1)
+    assert _block_components(g) == [g]
     assert decompose(cat, g) == sorted([(1, 0), (3, 1), (1, 0)],
                                        key=lambda t: (-cat.phase(*t), t[0]))
     assert calls["compose"] == solves == []
@@ -970,8 +1004,8 @@ def _row0_constants(cat, g, k, n):
 
 
 def test_retraction_reads_kernel_rows_without_witness_bases(monkeypatch):
-    calls = _count_calls(monkeypatch, "hom_space")
-    built = _count_systems(monkeypatch)
+    calls = count_calls(monkeypatch, "hom_space")
+    built = count_systems(monkeypatch)
     selects, morphisms = [], []
 
     def select(*args, _real=kernel.select_independent):

@@ -21,6 +21,7 @@ from mfcat.homcat import compose, decompose, hom_space
 from mfcat.mf import (
     GradedMF,
     Morphism,
+    _block_components,
     cone,
     direct_sum,
     identity_morphism,
@@ -40,6 +41,7 @@ from mfcat.mf import (
 )
 
 from mfcat.stability import hn_filtration
+from helpers import disguised_sum
 from oracles import (
     cone_reference,
     direct_sum_reference,
@@ -171,7 +173,11 @@ def test_reduce_matches_the_copying_reference(monkeypatch):
         window = cat.objects_in_window(0, 2)
         for s in (2, 3, 4):
             parts = [cat.object(*rng.choice(window)[1:]) for _ in range(s)]
-            decompose(cat, _freduce(direct_sum, parts))
+            # disguised, so the sum is one block piece and every summand
+            # but the last is split off as a reduced cone
+            g = disguised_sum(parts, s)
+            assert _block_components(g) == [g]
+            decompose(cat, g)
     # decompose reduces the sum once and each split-off complement once
     assert len(seen) == 3 * (2 + 3 + 4)
     for g in inputs + seen:

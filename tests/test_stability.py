@@ -17,7 +17,14 @@ import pytest
 from mfcat import stability
 from mfcat.catalog import Catalog, get_catalog
 from mfcat.gring import PolyError
-from mfcat.mf import GradedMF, direct_sum, shift_T, verify_grading, verify_mf
+from mfcat.mf import (
+    GradedMF,
+    _block_components,
+    direct_sum,
+    shift_T,
+    verify_grading,
+    verify_mf,
+)
 from mfcat.quiver import path_hom_dims, principal_orientation, random_orientation
 from mfcat.stability import (
     CentralCharge,
@@ -32,7 +39,7 @@ from mfcat.stability import (
 )
 from mfcat.quiver import positive_root_count
 
-from helpers import disguised_sum
+from helpers import count_systems, disguised_sum
 
 
 def test_central_charge_lies_on_the_phase_ray():
@@ -172,6 +179,8 @@ def test_hn_filtration_sees_through_a_disguised_sum(t, b):
         plain = reduce(direct_sum, parts)
         g = disguised_sum(parts, rng.randrange(10 ** 6))
         assert g != plain and g.S == plain.S
+        # one block piece, so the summands are still found by retractions
+        assert _block_components(g) == [g]
         assert verify_mf(g) == [] and verify_grading(g) == []
         assert hn_filtration(g).pieces == hn_filtration(plain).pieces
     # about a second in all; the bound only catches a blow-up
@@ -180,6 +189,23 @@ def test_hn_filtration_sees_through_a_disguised_sum(t, b):
 
 def test_stability_axioms_on_a_small_type():
     assert check_stability_axioms("A3", 2, trials=12, seed=5) == []
+
+
+def test_axiom_four_filters_block_sums_without_hom_systems(monkeypatch):
+    # the random sums of axiom 4 are block sums: each block piece equals its
+    # summand by value, so no filtration goes through a retraction
+    built = count_systems(monkeypatch)
+    per_sum = []
+
+    def counted(g, _real=stability.hn_filtration):
+        before = len(built)
+        filt = _real(g)
+        per_sum.append(len(built) - before)
+        return filt
+
+    monkeypatch.setattr(stability, "hn_filtration", counted)
+    assert check_stability_axioms("E6", trials=20, seed=3) == []
+    assert per_sum == [0] * 20
 
 
 @pytest.mark.parametrize("kwargs", [
