@@ -722,18 +722,14 @@ def _retraction(cat, g, k, n):
 def identify_object(cat, g):
     """Identify g with a catalog object: returns (k, n) or None.
 
-    The candidates are the classes whose slot multisets embed into reduced
-    g's; g is the first one of its size that it equals by value or
-    retracts onto (a retract of equal size is an isomorphism).
+    Reduced g is that object when its first catalog summand (see
+    :func:`_find_summand`) leaves the empty complement.
     """
     _on_catalog(cat, g)
-    g0 = reduce(g)
-    for _, k, n in _candidate_classes(cat, g0):
-        if cat.object(k, 0).r == g0.r and (
-                g0 == cat.object(k, n)
-                or _retraction(cat, g0, k, n) is not None):
-            return (k, n)
-    return None
+    found = _find_summand(cat, reduce(g))
+    if found is None or found[2].r:
+        return None
+    return found[:2]
 
 
 def _per_catalog(fn):

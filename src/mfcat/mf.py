@@ -383,6 +383,18 @@ def cone(m):
     return GradedMF(X.f, X.W, phi_c, psi_c, S)
 
 
+def _restrict(g, phi, psi, rows, cols, label=""):
+    """The object on g's slots: phi rows ``rows``, phi columns ``cols``.
+
+    rows index phi's rows and psi's columns, cols phi's columns and psi's
+    rows, in the order given; each slot keeps its degree from g.S.
+    """
+    return GradedMF(g.f, g.W, [[phi[a][b] for b in cols] for a in rows],
+                    [[psi[b][a] for a in rows] for b in cols],
+                    [g.S[a] for a in rows] + [g.S[g.r + b] for b in cols],
+                    label=label)
+
+
 def direct_sum(a, b):
     _expect(GradedMF, a, b)
     if a.f != b.f or a.W != b.W:
@@ -431,10 +443,7 @@ def _block_components(g):
             raise ArithmeticError("a block piece has %d phi rows and %d "
                                   "columns: not a factorization"
                                   % (len(rows), len(cols)))
-        out.append(GradedMF(g.f, g.W,
-                            [[g.phi[i][j] for j in cols] for i in rows],
-                            [[g.psi[j][i] for i in rows] for j in cols],
-                            [g.S[i] for i in rows] + [g.S[r + j] for j in cols]))
+        out.append(_restrict(g, g.phi, g.psi, rows, cols))
     return out
 
 
@@ -450,10 +459,7 @@ def permute_slots(g, perm0, perm1):
                for p in (perm0, perm1)):
         raise PolyError("slot relabelings must be permutations of range(%d)"
                         % r)
-    phi = [[g.phi[perm0[i]][perm1[j]] for j in range(r)] for i in range(r)]
-    psi = [[g.psi[perm1[i]][perm0[j]] for j in range(r)] for i in range(r)]
-    S = [g.S[perm0[i]] for i in range(r)] + [g.S[r + perm1[i]] for i in range(r)]
-    return GradedMF(g.f, g.W, phi, psi, S)
+    return _restrict(g, g.phi, g.psi, perm0, perm1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +475,25 @@ def _unit_of(p):
 
 
 def _eliminate(A, B, rows, cols, i, j, u):
-    """Clear row i and column j of A beside the unit pivot A[i][j], in place.
+    """Split off the unit pivot A[i][j]: drop its row and column, in place.
 
     rows and cols are A's live row and column indices (B's live columns and
-    rows).  Operations on A are mirrored inversely on B, skipping zeros, so
-    both products are preserved; B's row j and column i vanish with them
-    because AB and BA stay scalar.  The pivot then leaves the live lists.
+    rows).  What survives of A is the Schur complement D - b u^-1 a of its
+    live block D, with a row i and b column j beside the pivot.  B's live
+    block d stays: AB = BA = f*1 forces B's row j beside the pivot to be
+    -u^-1 a d and its column i to be -d b u^-1, which holds exactly when
+    row i of AB and column j of BA vanish beside the pivot; ArithmeticError
+    otherwise.  The pivot then leaves the live lists.
     """
+    Ai = A[i]
+    ab_row = (sum((Ai[k] * B[k][m] for k in cols if Ai[k]), Poly())
+              for m in rows if m != i)
+    ba_col = (sum((B[k][m] * A[m][j] for m in rows if A[m][j]), Poly())
+              for k in cols if k != j)
+    if any(ab_row) or any(ba_col):
+        raise ArithmeticError("unit elimination left a nonzero entry "
+                              "beside the pivot")
     uinv = u.inv()
-    Ai, Bj = A[i], B[j]
     for k in cols:
         c = Ai[k]
         if k == j or not c:
@@ -485,28 +501,8 @@ def _eliminate(A, B, rows, cols, i, j, u):
         t = c * uinv
         for m in rows:
             a = A[m][j]
-            if a:
+            if m != i and a:
                 A[m][k] = A[m][k] - t * a
-        Bk = B[k]
-        for m in rows:
-            b = Bk[m]
-            if b:
-                Bj[m] = Bj[m] + t * b
-    for k in rows:
-        c = A[k][j]
-        if k == i or not c:
-            continue
-        t = c * uinv
-        A[k][j] = A[k][j] - t * Ai[j]  # row i is zero beside the pivot now
-        for m in cols:
-            Bm = B[m]
-            b = Bm[k]
-            if b:
-                Bm[i] = Bm[i] + t * b
-    if (any(k != j and (Ai[k] or B[k][i]) for k in cols)
-            or any(k != i and (A[k][j] or Bj[k]) for k in rows)):
-        raise ArithmeticError("unit elimination left a nonzero entry "
-                              "beside the pivot")
     rows.remove(i)
     cols.remove(j)
 
@@ -533,10 +529,7 @@ def reduce(g):
         if pivot is None:
             break
         _eliminate(*pivot)
-    return GradedMF(g.f, g.W, [[phi[a][b] for b in live1] for a in live0],
-                    [[psi[a][b] for b in live0] for a in live1],
-                    [g.S[a] for a in live0] + [g.S[g.r + b] for b in live1],
-                    label=g.label)
+    return _restrict(g, phi, psi, live0, live1, g.label)
 
 
 # ---------------------------------------------------------------------------

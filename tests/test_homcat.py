@@ -481,6 +481,10 @@ def test_identify_object_sees_through_permutation_and_shift():
     perm1 = list(range(1, g.r)) + [0]
     assert identify_object(cat, permute_slots(g, perm0, perm1)) == (4, 2)
     assert identify_object(cat, tau(cat.object(1, 0), 5)) == (1, 5)
+    # equal to no candidate by value: found by a retraction
+    h = disguised_sum([cat.object(2, 1)], 5)
+    assert h != cat.object(2, 1)
+    assert identify_object(cat, h) == (2, 1)
 
 
 def test_identify_object_rejects_sums_off_lattice_shifts_and_zero():
@@ -488,6 +492,8 @@ def test_identify_object_rejects_sums_off_lattice_shifts_and_zero():
     X = cat.object(3, 1)
     assert identify_object(cat, X) == (3, 1)
     assert identify_object(cat, direct_sum(X, cat.object(1, 0))) is None
+    # one block piece: a summand is found and leaves a complement
+    assert identify_object(cat, disguised_sum([X, cat.object(1, 0)], 5)) is None
     # a sum of two copies has X's slot values, doubled
     assert identify_object(cat, direct_sum(X, X)) is None
     assert identify_object(cat, _shifted(X, Fraction(1, 7))) is None

@@ -187,13 +187,15 @@ def test_reduce_matches_the_copying_reference(monkeypatch):
 
 
 def test_reduce_rejects_a_pivot_with_a_nonzero_neighbour():
-    # phi psi is not f*1, so the pivot's psi row keeps an entry
+    # phi psi and psi phi are not f*1: in the first psi, row 0 of phi psi
+    # keeps an entry beside the pivot phi[0][0]; in the second that row
+    # vanishes and column 0 of psi phi keeps one
     g = _objects()[0]
     one, zero, x = Poly.const(1), Poly(), Poly.var("x")
-    bad = GradedMF(g.f, g.W, [[one, zero], [zero, x]],
-                   [[zero, one], [zero, zero]], g.S[:4])
-    with pytest.raises(ArithmeticError, match="beside the pivot"):
-        mf_reduce(bad)
+    for psi in ([[zero, one], [zero, zero]], [[zero, zero], [one, zero]]):
+        bad = GradedMF(g.f, g.W, [[one, zero], [zero, x]], psi, g.S[:4])
+        with pytest.raises(ArithmeticError, match="beside the pivot"):
+            mf_reduce(bad)
 
 
 def test_direct_sum_layout_and_reduction():

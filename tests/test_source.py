@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import mfcat
 
 SRC = Path(mfcat.__file__).parent
@@ -20,3 +22,60 @@ def test_the_package_relies_on_no_assert_statement():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# Where a float may appear in the package: the display value of a central
+# charge, the mpmath masses (mass_interval bounds the exact mass, so its
+# positivity certificate stays exact) and the coin of a random orientation.
+# Every other path is exact.
+FLOAT_SCOPES = {
+    ("stability.py", "central_charge"),
+    ("stability.py", "CentralCharge.mass_float"),
+    ("stability.py", "CentralCharge.mass_interval"),
+}
+FLOAT_SITES = {
+    ("stability.py", "", "import cmath"),
+    ("quiver.py", "random_orientation", "0.5"),
+}
+
+
+def _float_uses(node, scope=""):
+    """(scope, what) for each float, complex, float or complex literal and
+    cmath or mpmath import below node; scope is the dotted name of the
+    enclosing functions and classes, "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = "%s.%s" % (scope, child.name) if scope else child.name
+        if isinstance(child, ast.Name) and child.id in ("float", "complex"):
+            yield scope, child.id
+        elif (isinstance(child, ast.Constant)
+              and isinstance(child.value, (float, complex))):
+            yield scope, repr(child.value)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in child.names]
+                     if isinstance(child, ast.Import) else [child.module or ""])
+            for name in names:
+                if name.split(".")[0] in ("cmath", "mpmath"):
+                    yield scope, "import " + name
+        yield from _float_uses(child, inner)
+
+
+def _float_sites(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return {(path.name, scope, what) for scope, what in _float_uses(tree)}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_float_enters_a_certified_path(name):
+    found = _float_sites(SRC / name)
+    assert sorted(site for site in found - FLOAT_SITES
+                  if site[:2] not in FLOAT_SCOPES) == []
+
+
+def test_the_float_scan_sees_the_allowed_sites():
+    # a scan that finds nothing proves nothing
+    found = set().union(*(_float_sites(p) for p in SRC.glob("*.py")))
+    assert FLOAT_SITES <= found
+    assert {site[:2] for site in found} >= FLOAT_SCOPES

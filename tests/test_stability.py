@@ -14,13 +14,14 @@ from functools import reduce
 import mpmath
 import pytest
 
-from mfcat import stability
+from mfcat import catalog, stability
 from mfcat.catalog import Catalog, get_catalog
-from mfcat.gring import PolyError
+from mfcat.gring import Poly, PolyError, WeightSystem
 from mfcat.mf import (
     GradedMF,
     _block_components,
     direct_sum,
+    reduce as mf_reduce,
     shift_T,
     verify_grading,
     verify_mf,
@@ -39,7 +40,7 @@ from mfcat.stability import (
 )
 from mfcat.quiver import positive_root_count
 
-from helpers import count_systems, disguised_sum
+from helpers import CATALOG_SCOPE, count_systems, disguised_sum
 
 
 def test_central_charge_lies_on_the_phase_ray():
@@ -168,23 +169,47 @@ def test_hn_filtration_orders_phases_and_recovers_factors():
 def test_hn_filtration_sees_through_a_disguised_sum(t, b):
     # a graded unipotent base change hides the block structure; with rows
     # inserted in input order, nullspace ran for more than 90 s on the
-    # twelfth E6 sum here (r = 22)
+    # twelfth E6 sum here (r = 22 without its contractible summand)
     cat = get_catalog(t, b)
     objs = [cat.object(k, n) for k in cat.diagram.vertices
             for n in range(-2, 4)]
     rng = random.Random(1)
     start = time.perf_counter()
-    for _ in range(12):
+    for trial in range(12):
         parts = [rng.choice(objs) for _ in range(2 + rng.randrange(3))]
         plain = reduce(direct_sum, parts)
-        g = disguised_sum(parts, rng.randrange(10 ** 6))
-        assert g != plain and g.S == plain.S
+        # every other sum also hides a contractible (1, f) summand: the base
+        # change keeps its degree-0 entry 1, so the first reduce pivots on
+        # a dense row and column and must leave the plain sum's size
+        extra = []
+        if trial % 2:
+            s = parts[-1].S[0]
+            extra = [GradedMF(cat.f, cat.W, [[Poly.const(1)]], [[cat.f]],
+                              [s, s + 1])]
+        g = disguised_sum(parts + extra, rng.randrange(10 ** 6))
+        assert g.S == reduce(direct_sum, parts + extra).S and g != plain
         # one block piece, so the summands are still found by retractions
         assert _block_components(g) == [g]
         assert verify_mf(g) == [] and verify_grading(g) == []
+        assert mf_reduce(g).r == plain.r
         assert hn_filtration(g).pieces == hn_filtration(plain).pieces
     # about a second in all; the bound only catches a blow-up
     assert time.perf_counter() - start < 60
+
+
+def test_catalog_for_reads_the_catalog_off_weights_and_potential():
+    for t, b in CATALOG_SCOPE:
+        cat = get_catalog(t, b)
+        assert stability._catalog_for(cat.object(1, 0)) is cat
+    g = get_catalog("D5").object(1, 0)
+    built = catalog._catalog_cached.cache_info().currsize
+    # a foreign potential, and weights no catalog carries: the A_2999
+    # candidate is rejected on its weights, before any catalog is built
+    for bad in (GradedMF(g.f * 2, g.W, g.phi, g.psi, g.S),
+                GradedMF(g.f, WeightSystem(1, 1, 1, 3000), (), (), ())):
+        with pytest.raises(PolyError, match="ADE catalog"):
+            stability._catalog_for(bad)
+    assert catalog._catalog_cached.cache_info().currsize == built
 
 
 def test_stability_axioms_on_a_small_type():
@@ -209,15 +234,8 @@ def test_axiom_four_filters_block_sums_without_hom_systems(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"window": (1, 1)},
-    {"window": (2, 0)},
-    {"max_summands": 0},
     {"trials": -1},
-    {"window": ("x", 1)},
-    {"window": None},
-    {"window": (0, 1, 2)},
     {"trials": 1.5},
-    {"max_summands": 1.5},
     {"seed": [1]},
 ])
 def test_stability_axioms_reject_bad_arguments_with_polyerror(kwargs):
