@@ -105,13 +105,6 @@ class DynkinDiagram:
         return 1 if self.distance(k, self.base) % 2 else 2
 
 
-def dynkin_distance(type_str, k, kprime, b=None):
-    cat = get_catalog(type_str, b)
-    cat._check_vertex(k)
-    cat._check_vertex(kprime)
-    return cat.diagram.distance(k, kprime)
-
-
 def principal_decomposition(type_str, b=None):
     """(base, Pi_1, Pi_2): vertices at odd / even distance from the base."""
     dia = get_catalog(type_str, b).diagram

@@ -450,43 +450,6 @@ def morphism_scale_poly(p, m):
 
 
 # ---------------------------------------------------------------------------
-# endomorphism algebras and indecomposability
-
-
-def is_indecomposable(g):
-    """True when End(g) is local.
-
-    dim End = 1 decides immediately; otherwise the radical of the trace
-    form of the regular representation (= the Jacobson radical in
-    characteristic zero) must have codimension 1.  Objects whose semisimple
-    quotient is a nonsplit division algebra over Q(i) would be misreported,
-    but none arise from the ADE catalog.
-    """
-    E = hom_space(g, g)
-    if E.dim == 0:
-        return False
-    if E.dim == 1:
-        return True
-    d = E.dim
-    L = []
-    for i in range(d):
-        cols = [E.coordinates(compose(E.basis[i], E.basis[b])) for b in range(d)]
-        L.append([[cols[b][a] for b in range(d)] for a in range(d)])
-    rows = []
-    for i in range(d):
-        items = []
-        for j in range(d):
-            tr = GaussRat(0)
-            for a in range(d):
-                for b in range(d):
-                    tr = tr + L[i][a][b] * L[j][b][a]
-            if tr:
-                items.append((j, tr))
-        rows.append(_clear_row(items)[0])
-    return kernel.rank(rows) == 1
-
-
-# ---------------------------------------------------------------------------
 # idempotent splitting
 # The engine no longer calls this block (decompose takes complements as
 # reduced cones); it stays because the benchmark tracer wraps it by name.

@@ -5,14 +5,13 @@ The central charge of a graded object is the trace of e^{i*pi*S}.  For
 a phase-pure object the slot multiset is symmetric about its phase, so
 the charge factors as mass * e^{i*pi*phase} with the mass a finite sum
 of cosines of rational multiples of pi; positivity of that sum is
-certified with interval arithmetic, never by float comparison.
-mpmath is imported only when a mass is computed, so importing the engine
-and building catalogs does not load it.
+certified by rational bounds on each cosine, never by float comparison.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -53,24 +52,21 @@ class CentralCharge:
         self.mass_terms = mass_terms
 
     def mass_float(self):
-        import mpmath
         _check_offsets(self.mass_terms)
-        return float(sum(mpmath.cos(mpmath.pi * mpmath.mpf(o.numerator) / o.denominator)
-                         for o in self.mass_terms))
+        return sum((math.cos(math.pi * o.numerator / o.denominator)
+                    for o in self.mass_terms), 0.0)
 
     def mass_interval(self):
-        """Interval guaranteed to contain the exact mass."""
-        import mpmath
+        """Fractions (lo, hi) with lo <= mass <= hi."""
         _check_offsets(self.mass_terms)
-        with mpmath.workprec(80):
-            total = mpmath.iv.mpf(0)
-            for o in self.mass_terms:
-                arg = mpmath.iv.pi * mpmath.iv.mpf(o.numerator) / o.denominator
-                total += mpmath.iv.cos(arg)
-            return total
+        lo = hi = Fraction(0)
+        for o in self.mass_terms:
+            a, b = _cos_pi_bounds(o)
+            lo, hi = lo + a, hi + b
+        return lo, hi
 
     def mass_positive(self):
-        return self.mass_interval().a > 0
+        return self.mass_interval()[0] > 0
 
     def consistent(self):
         """True when the charge lies on the phase ray, decided exactly.
@@ -95,8 +91,48 @@ def _check_offsets(offsets):
                         "got %r" % (offsets,))
 
 
+# 314159/10^5 < pi < 314160/10^5
+_PI_LO, _PI_HI = Fraction(314159, 10 ** 5), Fraction(314160, 10 ** 5)
+
+
+def _cos_pi_bounds(o):
+    """Fractions (lo, hi) with lo <= cos(pi * o) <= hi.
+
+    o folds to t in [0, 1/2], up to sign.  There t * _PI_LO and t * _PI_HI
+    stay below pi, where cos falls, so they bound cos(pi * t) from above
+    and below; folding only to [0, 1] would let t * _PI_HI pass pi, where
+    cos rises again.
+    """
+    t = abs(o) % 2
+    if t > 1:
+        t = 2 - t
+    if t > Fraction(1, 2):
+        lo, hi = _cos_pi_bounds(1 - t)
+        return -hi, -lo
+    return _taylor_cos(t * _PI_HI)[0], _taylor_cos(t * _PI_LO)[1]
+
+
+def _taylor_cos(x):
+    """Partial sums (lo, hi) of the cosine series at x with lo <= cos x <= hi.
+
+    The sum that ends on a negative term lies below cos x and the one
+    before it above, for every real x.  Sums are kept as num/den over
+    integers, the last term being power/den; terms are added until a
+    negative one is below 10^-12.
+    """
+    a, b = x.numerator ** 2, x.denominator ** 2
+    num = den = power = 1
+    k = 0
+    while True:
+        k += 1
+        scale, power, last = b * (2 * k - 1) * 2 * k, power * a, (num, den)
+        num, den = num * scale + (-1) ** k * power, den * scale
+        if k % 2 and power * 10 ** 12 < den:
+            return Fraction(num, den), Fraction(*last)
+
+
 def mass_certified(cat, offsets):
-    """Interval-certified positivity of the mass over a sorted offset tuple.
+    """Certified positivity of the mass over a sorted offset tuple.
 
     Offsets do not move under tau, so one certificate per vertex serves
     every twist.  Offsets that are not a tuple of ints and Fractions raise

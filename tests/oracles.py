@@ -8,8 +8,10 @@ rules and the E6/E7/E8 tables), where the package derives them; the
 paper's q table of slot offsets is stored here too, where the package
 solves each grading from its blocks and phase; and the
 brute-force morphism counter assembles and solves its linear systems
-densely with sympy (its own pivoting) instead of the package kernel.  The unit-entry reduction keeps its first form, which copies and
-rebuilds both blocks at every pivot, and the retraction test keeps its
+densely with sympy (its own pivoting) instead of the package kernel, as
+does the trace-form indecomposability test.  The unit-entry reduction
+keeps its first form, which copies and rebuilds both blocks at every
+pivot, and the retraction test keeps its
 End-coordinate form, an exact solve in End(M) per witness pair.  Cones and
 direct sums keep their general N x M block assembler, T^-1 and S^-1 their
 own slot arithmetic, and HN partial sums are re-summed from every factor
@@ -572,6 +574,36 @@ def sympy_hom_dim(src, dst, weights, h):
         rows.append([row.get(pos, 0) for pos in range(len(svars))])
     B = sympy.Matrix(rows)
     return nullity - B.rank()
+
+
+# ---------------------------------------------------------------------------
+# indecomposability by the trace form of End (dense sympy rank)
+# ---------------------------------------------------------------------------
+
+
+def _gauss(c):
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def is_indecomposable(g):
+    """True when End(g) is local.
+
+    dim End = 1 decides immediately; otherwise the radical of the trace
+    form of the regular representation (= the Jacobson radical in
+    characteristic zero) must have codimension 1.  Objects whose semisimple
+    quotient is a nonsplit division algebra over Q(i) would be misreported,
+    but none arise from the ADE catalog.
+    """
+    E = hom_space(g, g)
+    d = E.dim
+    if d <= 1:
+        return d == 1
+    # L[i][a][b]: coordinate a of basis[i] composed with basis[b]
+    L = [list(zip(*(map(_gauss, E.coordinates(compose(E.basis[i], E.basis[b])))
+                    for b in range(d)))) for i in range(d)]
+    form = sympy.Matrix(d, d, lambda i, j: sympy.expand(sum(
+        L[i][a][b] * L[j][b][a] for a in range(d) for b in range(d))))
+    return form.rank() == 1
 
 
 # ---------------------------------------------------------------------------

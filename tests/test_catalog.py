@@ -10,7 +10,6 @@ from mfcat import catalog
 from mfcat.catalog import (
     Catalog,
     DynkinDiagram,
-    dynkin_distance,
     get_catalog,
     principal_decomposition,
 )
@@ -45,13 +44,13 @@ def test_diagram_shapes_and_distances():
     dia = DynkinDiagram("E", 6, None)
     assert list(dia.vertices) == list(range(1, 7))
     assert sorted(dia.neighbors(2)) == [1, 3, 4]
-    assert dynkin_distance("E6", 1, 6) == 3
+    assert get_catalog("E6").diagram.distance(1, 6) == 3
     dia = DynkinDiagram("D", 6, None)
     assert sorted(dia.neighbors(4)) == [3, 5, 6]
-    assert dynkin_distance("D6", 5, 6) == 2
+    assert get_catalog("D6").diagram.distance(5, 6) == 2
     dia = DynkinDiagram("A", 5, 2)
     assert sorted(dia.neighbors(3)) == [2, 4]
-    assert dynkin_distance("A5", 1, 5, b=2) == 4
+    assert get_catalog("A5", 2).diagram.distance(1, 5) == 4
 
 
 def test_distance_is_a_tree_metric():
@@ -201,10 +200,8 @@ def test_unknown_types_and_vertices_are_rejected():
                  id="principal_decomposition"),
     pytest.param(lambda: check_stability_axioms("A3", b=[1], trials=0),
                  id="check_stability_axioms"),
-    pytest.param(lambda: dynkin_distance("A3", 9, 1), id="distance-range"),
-    pytest.param(lambda: dynkin_distance("A3", "a", 1), id="distance-type"),
 ])
-def test_unhashable_b_and_bad_distance_vertices_raise_polyerror(call):
+def test_unhashable_b_raises_polyerror(call):
     with pytest.raises(PolyError):
         call()
 

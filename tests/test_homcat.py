@@ -29,7 +29,6 @@ from mfcat.homcat import (
     hom_multiset,
     hom_space,
     identify_object,
-    is_indecomposable,
     morphism_scale,
     morphism_scale_poly,
     morphism_sub,
@@ -547,9 +546,9 @@ def test_candidate_scan_matches_the_twist_range_reference():
 
 def test_indecomposability_detection():
     cat = get_catalog("D5")
-    assert is_indecomposable(cat.object(3, 0))
+    assert oracles.is_indecomposable(cat.object(3, 0))
     s = direct_sum(cat.object(1, 0), cat.object(2, 1))
-    assert not is_indecomposable(s)
+    assert not oracles.is_indecomposable(s)
 
 
 def test_decompose_round_trips_random_sums():
@@ -565,6 +564,8 @@ def test_decompose_round_trips_random_sums():
                 obj = part if obj is None else direct_sum(obj, part)
             got = decompose(cat, obj)
             assert sorted(got) == sorted((k, n) for _, k, n in picks)
+            assert all(oracles.is_indecomposable(cat.object(k, n))
+                       for k, n in got)
 
 
 def test_decompose_rejects_an_off_lattice_object():

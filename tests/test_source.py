@@ -25,24 +25,26 @@ def test_the_package_relies_on_no_assert_statement():
 
 
 # Where a float may appear in the package: the display value of a central
-# charge, the mpmath masses (mass_interval bounds the exact mass, so its
-# positivity certificate stays exact) and the coin of a random orientation.
-# Every other path is exact.
+# charge, the float mass column of `mfcat stability` and the coin of a
+# random orientation.  Every other path is exact; mass positivity is
+# certified by rational bounds.
 FLOAT_SCOPES = {
     ("stability.py", "central_charge"),
     ("stability.py", "CentralCharge.mass_float"),
-    ("stability.py", "CentralCharge.mass_interval"),
 }
 FLOAT_SITES = {
     ("stability.py", "", "import cmath"),
     ("quiver.py", "random_orientation", "0.5"),
 }
+# the integer-valued math functions; every other math name is a float
+EXACT_MATH = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial"}
 
 
 def _float_uses(node, scope=""):
-    """(scope, what) for each float, complex, float or complex literal and
-    cmath or mpmath import below node; scope is the dotted name of the
-    enclosing functions and classes, "" at module level."""
+    """(scope, what) for each float, complex, float or complex literal,
+    float-valued math name and cmath or mpmath import below node; scope is
+    the dotted name of the enclosing functions and classes, "" at module
+    level."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -53,6 +55,14 @@ def _float_uses(node, scope=""):
         elif (isinstance(child, ast.Constant)
               and isinstance(child.value, (float, complex))):
             yield scope, repr(child.value)
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.value, ast.Name)
+              and child.value.id == "math" and child.attr not in EXACT_MATH):
+            yield scope, "math." + child.attr
+        elif isinstance(child, ast.ImportFrom) and child.module == "math":
+            for a in child.names:
+                if a.name not in EXACT_MATH:
+                    yield scope, "import math." + a.name
         elif isinstance(child, (ast.Import, ast.ImportFrom)):
             names = ([a.name for a in child.names]
                      if isinstance(child, ast.Import) else [child.module or ""])
@@ -79,3 +89,12 @@ def test_the_float_scan_sees_the_allowed_sites():
     found = set().union(*(_float_sites(p) for p in SRC.glob("*.py")))
     assert FLOAT_SITES <= found
     assert {site[:2] for site in found} >= FLOAT_SCOPES
+
+
+def test_the_float_scan_reports_float_math_names_only():
+    tree = ast.parse("import math\n"
+                     "from math import gcd, pi\n"
+                     "def f(a, b):\n"
+                     "    return math.lcm(a, b) + math.gcd(a, b) * math.cos(a)\n")
+    assert sorted(_float_uses(tree)) == [("", "import math.pi"),
+                                         ("f", "math.cos")]
