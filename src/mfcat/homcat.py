@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 
 from . import kernel
@@ -65,20 +65,23 @@ def _on_catalog(cat, g):
     _same_potential(cat, g)
 
 
-def _term_table(mat, scale, by_col):
-    """mat -> {line: [(other, [(mon, re, im), ...])]}, grouped by row or col.
+def _term_table(mat, scale, by_col, sign):
+    """mat -> {line: [(other, (mons, res, ims)), ...]}, grouped by row or col.
 
-    Every coefficient is multiplied by ``scale`` (a multiple of all of its
-    denominators) and stored as its integer real and imaginary parts; the
-    monomials of each entry are in ascending lex order.
+    ``mons`` holds the monomials of the entry in ascending lex order, and
+    ``res`` and ``ims`` the integer real and imaginary parts of their
+    coefficients times ``sign * scale`` (scale a multiple of every
+    denominator), in the same order.
     """
     table = {}
     for i, row in enumerate(mat):
         for j, p in enumerate(row):
             if not p.terms:
                 continue
-            terms = [(mon, c.a * (scale // c.d), c.b * (scale // c.d))
-                     for mon, c in sorted(p.terms.items())]
+            items = sorted(p.terms.items())
+            terms = (tuple(mon for mon, _ in items),
+                     tuple(sign * c.a * (scale // c.d) for _, c in items),
+                     tuple(sign * c.b * (scale // c.d) for _, c in items))
             line, other = (j, i) if by_col else (i, j)
             table.setdefault(line, []).append((other, terms))
     return table
@@ -99,27 +102,50 @@ def _denominator(g):
     return L
 
 
-def _term_tables(g, scale, by_col):
-    """(phi, psi) term tables of g at ``scale``, built once per blocks."""
-    key = ("tables", scale, by_col)
-    tables = g._block_memo.get(key)
-    if tables is None:
-        tables = g._block_memo[key] = (_term_table(g.phi, scale, by_col),
-                                       _term_table(g.psi, scale, by_col))
-    return tables
+def _terms(g, block, scale, by_col, sign=1):
+    """The term table of g's block ``"phi"`` or ``"psi"`` at ``sign * scale``,
+    built once per blocks."""
+    key = ("tables", scale, by_col, sign, block)
+    table = g._block_memo.get(key)
+    if table is None:
+        table = g._block_memo[key] = _term_table(getattr(g, block), scale,
+                                                 by_col, sign)
+    return table
+
+
+@functools.lru_cache(maxsize=4096)
+def _positions(a, b, c, w):
+    """{monomial: lex position} over the monomials of weighted degree w.
+
+    One table per degree, shared by every system, which only reads it;
+    iterating it yields the monomials in ascending lex order (see
+    :func:`weighted_monomials`).
+    """
+    return {mon: p for p, mon in enumerate(weighted_monomials(a, b, c, w))}
 
 
 class _System:
-    """The linear model of Hom(src, dst): variables, cocycle rows, boundaries.
+    """The linear model of Hom(src, dst): variables, cocycle map, boundaries.
 
     Variables enumerate the admissible monomials of every entry of the block
-    pair (phi0, phi1); the cocycle equations and the boundary generators are
+    pair (phi0, phi1); the cocycle map and the boundary generators are
     assembled monomial by monomial and handed to the kernel as sparse rows.
     Only the phi-block E0 = dst.phi*phi1 - phi0*src.phi is assembled: as
     dst.psi*dst.phi = src.phi*src.psi = f*1, dst.psi*E0*src.psi = -f*E1 for
     the psi-block E1 = dst.psi*phi0 - phi1*src.psi, and k[x,y,z] is a domain,
     E0 = 0 forces E1 = 0.  This needs src and dst to factor one f, as does
     dim = nvars - rank Z - rank B (boundaries are cocycles only then).
+
+    ``entry`` maps each entry (blk, i, j) with admissible monomials to
+    ``(offset, positions)``: its variables are offset + the lex position of
+    each monomial, from one shared table per degree (:func:`_positions`), so
+    no variable has a key of its own.  ``images`` holds the cocycle map as
+    one row per variable, its image d(e_v) in E0, whose columns are laid
+    out the same way: the offset of an entry of E0 plus the position of a
+    monomial of its degree, ``ncols`` in all.  ``cocycle_rows``, the
+    equations E0 = 0 that :func:`kernel.nullspace` solves, is their
+    transpose, built on first use: one row per column of E0 that some image
+    meets, in column order.
 
     Assembly runs on Python ints only.  The coefficients of the four blocks
     (dst.phi, dst.psi, src.phi, src.psi) are multiplied by one common
@@ -149,103 +175,119 @@ class _System:
         self.dst = dst
         W = src.W
         a, b, c, h = W.a, W.b, W.c, W.h
-        rs, rd = src.r, dst.r
-
         D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
         ss, sbs = src.h_slots(D)
         sd, sbd = dst.h_slots(D)
         step = 2 * D  # one unit of integer weighted degree on the h*D scale
         one = h * D  # normalized degree 1
 
-        def basis(t):
-            if t < 0 or t % step:
-                return ()
-            return weighted_monomials(a, b, c, t // step)
+        def entries(drow, dcol):
+            """(i, j, positions) over the entries whose degree
+            drow[i] - dcol[j] admits monomials, in (i, j) order.  Only
+            columns of the row's residue mod step can qualify."""
+            by_residue = {}
+            for j, dj in enumerate(dcol):
+                by_residue.setdefault(dj % step, []).append((j, dj))
+            for i, di in enumerate(drow):
+                for j, dj in by_residue.get(di % step, ()):
+                    if dj <= di:
+                        pos = _positions(a, b, c, (di - dj) // step)
+                        if pos:
+                            yield i, j, pos
 
-        self.var_keys = var_keys = []
-        # (blk, i, j) -> {mon: variable index}; entries without monomials
-        # have no key
-        self.entry = entry = {}
-        for blk, drow, dcol in ((0, sd, ss), (1, sbd, sbs)):
-            for i in range(rd):
-                for j in range(rs):
-                    mons = basis(drow[i] - dcol[j])
-                    if not mons:
-                        continue
-                    index = entry[blk, i, j] = {}
-                    for mon in mons:
-                        index[mon] = len(var_keys)
-                        var_keys.append((blk, i, j, mon))
-        self.nvars = len(var_keys)
-        self.cocycle_rows = []
+        def layout(*blocks):
+            """{key + (i, j): (offset, positions)} over the entries of each
+            (key, row degrees, column degrees), and the columns laid out."""
+            out, n = {}, 0
+            for key, drow, dcol in blocks:
+                for i, j, pos in entries(drow, dcol):
+                    out[key + (i, j)] = (n, pos)
+                    n += len(pos)
+            return out, n
+
+        def fill(out, lines, mons):
+            """Append one row per monomial m of ``mons``: each line (offset,
+            positions, terms) puts each coefficient of its terms at offset +
+            the position of m times the term's monomial.  The lines land in
+            distinct entries, in increasing offset order, and terms are in
+            lex order, so every row has strictly increasing columns."""
+            for m0, m1, m2 in mons:
+                cols, res, ims = row = ([], [], [])
+                for (off, pos), (emons, eres, eims) in lines:
+                    for e0, e1, e2 in emons:
+                        cols.append(off + pos[m0 + e0, m1 + e1, m2 + e2])
+                    res += eres
+                    ims += eims
+                out.append(row)
+
+        # block 0 variables precede block 1 ones, each in (i, j, lex) order
+        self.entry, self.nvars = layout(((0,), sd, ss), ((1,), sbd, sbs))
+        entry = self.entry
+        self.ncols = 0
+        self.images = images = []
         self.boundary_rows = rows = []
         if not self.nvars or not (cocycles or boundaries):
             return
 
         L = math.lcm(_denominator(src), _denominator(dst))
-        dphi, dpsi = _term_tables(dst, L, True)
-        sphi, spsi = _term_tables(src, L, False)
+        dphi, dpsi = _terms(dst, "phi", L, True), _terms(dst, "psi", L, True)
+        sphi, spsi = _terms(src, "phi", L, False), _terms(src, "psi", L, False)
 
-        # One row per entry and monomial of E0.  A variable meets a row in at
-        # most one term and variables come in index order, so every row has
-        # strictly increasing columns and no zero entry.
+        # The cocycle map as one image row per variable, in index order; the
+        # entry (i, j) of E0 has degree sd[i] + one - sbs[j].
         if cocycles:
-            eqs = defaultdict(list)
-            for vidx, (blk, i, j, (m0, m1, m2)) in enumerate(var_keys):
-                if blk:
-                    for k, terms in dphi.get(i, ()):
-                        for (e0, e1, e2), re, im in terms:
-                            eqs[k, j, m0 + e0, m1 + e1, m2 + e2].append((vidx, re, im))
-                else:
-                    for k, terms in sphi.get(j, ()):
-                        for (e0, e1, e2), re, im in terms:
-                            eqs[i, k, m0 + e0, m1 + e1, m2 + e2].append((vidx, -re, -im))
-            self.cocycle_rows = [tuple(map(list, zip(*eqs[key])))
-                                 for key in sorted(eqs)]
+            eoff, self.ncols = layout(((), [s + one for s in sd], sbs))
+            nsphi = _terms(src, "phi", L, False, -1)
+            for (blk, i, j), (_, pos) in entry.items():
+                if blk:  # dst.phi[k][i] * phi1[i][j] lands in E0[k][j]
+                    fill(images, [(eoff[k, j], t) for k, t in dphi.get(i, ())],
+                         pos)
+                else:  # -phi0[i][j] * src.phi[j][k] lands in E0[i][k]
+                    fill(images, [(eoff[i, k], t) for k, t in nsphi.get(j, ())],
+                         pos)
         if not boundaries:
             return
 
         # Boundary generators: the image in the variable space of every
         # admissible homotopy monomial hA (dst-first x src-second) and hB
         # (dst-second x src-first), under H -> (phi'*hB + hA*psi,
-        # psi'*hA + hB*phi).  Block 0 variables precede block 1 ones and
-        # var_keys is in lex order, so emitting the block 0 part first gives
-        # strictly increasing columns.
-        def extend(row, mons, terms, m0, m1, m2):
-            cols, res, ims = row
-            for (e0, e1, e2), re, im in terms:
-                cols.append(mons[m0 + e0, m1 + e1, m2 + e2])
-                res.append(re)
-                ims.append(im)
+        # psi'*hA + hB*phi).  Block 0 variables precede block 1 ones, so
+        # listing the block 0 lines first keeps their offsets increasing.
+        for i, j, mons in entries(sd, [s + one for s in sbs]):
+            fill(rows, [(entry[0, i, k], t) for k, t in spsi.get(j, ())]
+                 + [(entry[1, k, j], t) for k, t in dpsi.get(i, ())], mons)
+        for i, j, mons in entries(sbd, [s + one for s in ss]):
+            fill(rows, [(entry[0, k, j], t) for k, t in dphi.get(i, ())]
+                 + [(entry[1, i, k], t) for k, t in sphi.get(j, ())], mons)
 
-        for i in range(rd):
-            for j in range(rs):
-                for m0, m1, m2 in basis(sd[i] - sbs[j] - one):
-                    row = ([], [], [])
-                    for k, terms in spsi.get(j, ()):
-                        extend(row, entry[0, i, k], terms, m0, m1, m2)
-                    for k, terms in dpsi.get(i, ()):
-                        extend(row, entry[1, k, j], terms, m0, m1, m2)
-                    rows.append(row)
-        for i in range(rd):
-            for j in range(rs):
-                for m0, m1, m2 in basis(sbd[i] - ss[j] - one):
-                    row = ([], [], [])
-                    for k, terms in dphi.get(i, ()):
-                        extend(row, entry[0, k, j], terms, m0, m1, m2)
-                    for k, terms in sphi.get(j, ()):
-                        extend(row, entry[1, i, k], terms, m0, m1, m2)
-                    rows.append(row)
+    @functools.cached_property
+    def cocycle_rows(self):
+        """The cocycle equations, the transpose of ``images``; [] when no
+        cocycles were assembled."""
+        eqs = [([], [], []) for _ in range(self.ncols)]
+        for v, (cols, res, ims) in enumerate(self.images):
+            for c, re, im in zip(cols, res, ims):
+                vs, eq_res, eq_ims = eqs[c]
+                vs.append(v)
+                eq_res.append(re)
+                eq_ims.append(im)
+        return [row for row in eqs if row[0]]
+
+    @functools.cached_property
+    def var_keys(self):
+        """(blk, i, j, monomial) of every variable, in index order."""
+        return [(blk, i, j, mon) for (blk, i, j), (_, pos) in self.entry.items()
+                for mon in pos]
 
     def morphism_from_row(self, row):
         """Integer kernel row in variable space -> Morphism."""
         phi0 = [[Poly() for _ in range(self.src.r)] for _ in range(self.dst.r)]
         phi1 = [[Poly() for _ in range(self.src.r)] for _ in range(self.dst.r)]
-        cols, res, ims = row
-        for idx in range(len(cols)):
-            blk, i, j, mon = self.var_keys[cols[idx]]
+        keys = self.var_keys
+        for c, re, im in zip(*row):
+            blk, i, j, mon = keys[c]
             tgt = phi0 if blk == 0 else phi1
-            tgt[i][j] = tgt[i][j] + Poly.monomial(mon, GaussRat(res[idx], ims[idx]))
+            tgt[i][j] = tgt[i][j] + Poly.monomial(mon, GaussRat(re, im))
         return Morphism(self.src, self.dst, tuple(map(tuple, phi0)),
                         tuple(map(tuple, phi1)))
 
@@ -259,13 +301,13 @@ def _vectorize(entry, m):
     for blk, mat in ((0, m.phi0), (1, m.phi1)):
         for i, row in enumerate(mat):
             for j, p in enumerate(row):
+                off, pos = entry.get((blk, i, j), (0, {}))
                 for mon, c in p.terms.items():
-                    vidx = entry.get((blk, i, j), {}).get(mon)
-                    if vidx is None:
+                    if mon not in pos:
                         raise PolyError(
                             "morphism entry (%d,%d,%d) has a monomial of "
                             "inadmissible degree" % (blk, i, j))
-                    items.append((vidx, c))
+                    items.append((off + pos[mon], c))
     return _clear_row(items)
 
 
@@ -328,15 +370,35 @@ def hom_space(src, dst):
     return HomSpace(src, dst, dim, basis, sys.entry, solve_columns)
 
 
+def _free_images(sys):
+    """(rank B, the images of the variables off the pivots of B's echelon).
+
+    B lies in the kernel of the cocycle map d^0, and for each pivot p its
+    span holds a vector that is 1 at p and 0 at every other pivot, so the
+    image of p is a combination of the images of the non-pivot variables.
+    Those nvars - rank B images therefore span the image of d^0, and
+    exactly dim Hom of them are dependent.  The boundary rows go in short
+    rows first, as in :func:`kernel.rank`.
+    """
+    ech = kernel.Echelon()
+    for row in sorted(sys.boundary_rows, key=lambda r: len(r[0])):
+        ech.insert(row)
+    pivots = ech.pivots
+    return ech.rank, [row for v, row in enumerate(sys.images) if v not in pivots]
+
+
 def hom_dim(src, dst, ranks=None):
     """dim Hom(src, dst) = nvars - rank Z - rank B, from exact ranks over Q(i).
 
     Rank-only: no witness basis is built (see :func:`hom_space`).  Z is the
-    span of the cocycle rows and B that of the boundary rows.  B lies in
-    the kernel of the cocycle rows, so rank Z + rank B <= nvars: the
-    boundary rows are ranked first and the cocycle rows only until their
-    rank reaches nvars - rank B, which is exact and cuts the elimination
-    short whenever the dimension is 0.
+    image of the cocycle map and B the span of the boundary rows.  With
+    neither rank known, B is echeloned once and rank Z is the rank of the
+    images of the variables off its pivots (see :func:`_free_images`), of
+    which all but dim Hom are independent.  With one rank known, B lies in
+    the kernel of the cocycle map, so rank Z + rank B <= nvars: the other
+    row family is ranked only until its rank reaches nvars minus the known
+    rank, which is exact and cuts the elimination short whenever the
+    dimension is 0.
 
     ``ranks`` is ``(memo, z_key, b_key)``: the memo keys of the two
     differentials of the Hom complex whose ranks are rank Z and rank B (see
@@ -348,10 +410,13 @@ def hom_dim(src, dst, ranks=None):
     sys = _System(src, dst, rank_z is None, rank_b is None)
     if not sys.nvars:
         return 0
-    if rank_b is None:
-        rank_b = memo[b_key] = kernel.rank(sys.boundary_rows,
-                                           sys.nvars - (rank_z or 0))
-    if rank_z is None:
+    if rank_z is None and rank_b is None:
+        rank_b, images = _free_images(sys)
+        memo[b_key] = rank_b
+        rank_z = memo[z_key] = kernel.rank(images)
+    elif rank_b is None:
+        rank_b = memo[b_key] = kernel.rank(sys.boundary_rows, sys.nvars - rank_z)
+    elif rank_z is None:
         rank_z = memo[z_key] = kernel.rank(sys.cocycle_rows, sys.nvars - rank_b)
     return sys.nvars - rank_z - rank_b
 
@@ -627,9 +692,9 @@ def _constant_coords(sys, keys):
     """
     where = []
     for t, key in enumerate(keys):
-        vidx = sys.entry.get(key, {}).get((0, 0, 0))
-        if vidx is not None:
-            where.append((t, vidx))
+        off, pos = sys.entry.get(key, (0, {}))
+        if (0, 0, 0) in pos:
+            where.append((t, off + pos[0, 0, 0]))
     out = []
     for row in kernel.nullspace(sys.cocycle_rows, sys.nvars)[1]:
         cols, res, ims = row
@@ -706,12 +771,13 @@ def _per_catalog(fn):
         _expect(Catalog, cat)
         key = (fn.__name__,) + args
         try:
-            hit = key in cat.memo
+            return cat.memo[key]
+        except KeyError:
+            pass
         except TypeError:
             raise PolyError("unhashable arguments %r" % (args,)) from None
-        if not hit:
-            cat.memo[key] = fn(cat, *args)
-        return cat.memo[key]
+        value = cat.memo[key] = fn(cat, *args)
+        return value
 
     return memoized
 

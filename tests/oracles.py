@@ -17,20 +17,23 @@ direct sums keep their general N x M block assembler, T^-1 and S^-1 their
 own slot arithmetic, and HN partial sums are re-summed from every factor
 below.  Hom dimensions keep their memo-free form, both row families of
 every system assembled and ranked in full, and Serre images their
-catalog search on the explicit image.  Tests compare package output
+catalog search on the explicit image.  Cocycle equations keep their keyed
+assembly: a key per entry and monomial of E0, sorted, then transposed.
+Tests compare package output
 against these, never the other way around.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import reduce as _freduce
 
 import sympy
 
 from mfcat import kernel
-from mfcat.gring import PolyError
+from mfcat.gring import PolyError, weighted_monomials
 from mfcat.homcat import _System, compose, hom_space, identify_object, t_image
 from mfcat.mf import (
     GradedMF,
@@ -860,3 +863,54 @@ def hom_dim_reference(src, dst):
         return 0
     return (sys.nvars - kernel.rank(sys.cocycle_rows)
             - kernel.rank(sys.boundary_rows))
+
+
+def variable_keys_reference(src, dst):
+    """(blk, i, j, monomial) of every Hom-system variable, in index order:
+    block 0 then block 1, entries row by row, monomials in lex order."""
+    W = src.W
+    D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
+    ss, sbs = src.h_slots(D)
+    sd, sbd = dst.h_slots(D)
+    keys = []
+    for blk, drow, dcol in ((0, sd, ss), (1, sbd, sbs)):
+        for i in range(dst.r):
+            for j in range(src.r):
+                t = drow[i] - dcol[j]
+                if t >= 0 and not t % (2 * D):
+                    keys += [(blk, i, j, mon) for mon in
+                             weighted_monomials(W.a, W.b, W.c, t // (2 * D))]
+    return keys
+
+
+def cocycle_rows_reference(src, dst):
+    """The cocycle rows of Hom(src, dst), keyed: one row per entry (k, j)
+    and monomial of E0 = dst.phi*phi1 - phi0*src.phi, sorted by
+    (k, j, monomial), each listing its variables in index order.
+
+    Coefficients are scaled by the lcm L of every block denominator."""
+    L = 1
+    for g in (src, dst):
+        for mat in (g.phi, g.psi):
+            for row in mat:
+                for p in row:
+                    for co in p.terms.values():
+                        L = math.lcm(L, co.d)
+
+    def terms(p, sign):
+        return [(mon, sign * c.a * (L // c.d), sign * c.b * (L // c.d))
+                for mon, c in sorted(p.terms.items())]
+
+    eqs = defaultdict(list)
+    for vidx, (blk, i, j, (m0, m1, m2)) in enumerate(
+            variable_keys_reference(src, dst)):
+        # dst.phi[k][i] * phi1[i][j] lands in E0[k][j] and
+        # -phi0[i][j] * src.phi[j][k] in E0[i][k]
+        if blk:
+            lines = [((k, j), terms(dst.phi[k][i], 1)) for k in range(dst.r)]
+        else:
+            lines = [((i, k), terms(src.phi[j][k], -1)) for k in range(src.r)]
+        for at, line in lines:
+            for (e0, e1, e2), re, im in line:
+                eqs[at + (m0 + e0, m1 + e1, m2 + e2)].append((vidx, re, im))
+    return [tuple(map(list, zip(*eqs[key]))) for key in sorted(eqs)]

@@ -948,6 +948,60 @@ def test_shared_differential_ranks_match_the_memo_free_reference(t, b, order):
         assert dim == _serre_side_reference(fresh, *call), call
 
 
+def _cocycle_pairs():
+    """(src, dst) pairs: catalog twists on E6, twists of a memoized Serre
+    image, and every vertex pair of A4 (b=2) at a few twists."""
+    cat = Catalog("E6")
+    X = cat.object(2, 0)
+    image = homcat._vertex_serre(cat, 4)
+    pairs = [(cat.object(k, 0), cat.object(kp, n))
+             for k in (1, 4) for kp in cat.diagram.vertices for n in (-1, 0, 2, 5)]
+    pairs += [(X, tau(image, n)) for n in range(-3, 4)]
+    a4 = get_catalog("A4", 2)
+    pairs += [(a4.object(k, 0), a4.object(kp, n)) for k in a4.diagram.vertices
+              for kp in a4.diagram.vertices for n in (-2, 0, 1, 3)]
+    return pairs
+
+
+def test_cocycle_rows_equal_the_keyed_assembly():
+    # the images are the columns of the keyed equations: their transpose
+    # must give today's rows in value and in order, so nullspace bases and
+    # witnesses do not move
+    filled = 0
+    for src, dst in _cocycle_pairs():
+        sys = homcat._System(src, dst)
+        assert sys.var_keys == oracles.variable_keys_reference(src, dst)
+        assert sys.cocycle_rows == oracles.cocycle_rows_reference(src, dst)
+        assert len(sys.images) == sys.nvars
+        filled += bool(sys.cocycle_rows)
+        bare = homcat._System(src, dst, cocycles=False)
+        assert bare.images == bare.cocycle_rows == []
+        assert bare.boundary_rows == sys.boundary_rows
+    assert filled >= 100
+
+
+@pytest.mark.parametrize("t,b", [("A4", 2), ("D5", None), ("E6", None)])
+def test_pruned_images_leave_exactly_the_hom_dimension(t, b):
+    # after B's pivot variables are pruned, the images left span the image
+    # of the cocycle map, and exactly dim Hom of them are dependent
+    cat = get_catalog(t, b)
+    total = 0
+    for k in cat.diagram.vertices:
+        for kp in cat.diagram.vertices:
+            for c in range(-4, cat.h + 3):
+                n = cat.twist(kp, c, cat.sigma(k))
+                if n is None:
+                    continue
+                src, dst = cat.object(k, 0), cat.object(kp, n)
+                sys = homcat._System(src, dst)
+                rank_b, images = homcat._free_images(sys)
+                assert len(images) == sys.nvars - rank_b
+                dim = len(images) - kernel.rank(images)
+                assert dim == hom_dim(src, dst) == hom_space(src, dst).dim
+                total += dim
+    assert total > 0
+
+
 @pytest.mark.parametrize("image", ["untransposed blocks", "half a twist"])
 def test_a_serre_image_off_the_t_image_is_refused_before_any_rank(
         monkeypatch, image):
