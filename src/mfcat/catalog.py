@@ -524,8 +524,12 @@ class Catalog:
 
 
 def window_bounds(lo, hi):
-    """(Fraction(lo), Fraction(hi)); PolyError unless both are rationals."""
+    """(Fraction(lo), Fraction(hi)); PolyError unless both are ints,
+    Fractions or strings that spell a rational.  A float is refused: it
+    stands for its binary value, not for the decimal it prints as."""
     try:
+        if not all(isinstance(x, (int, Fraction, str)) for x in (lo, hi)):
+            raise TypeError
         return Fraction(lo), Fraction(hi)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise PolyError("malformed phase window (%r, %r)" % (lo, hi)) from None

@@ -65,28 +65,6 @@ def _on_catalog(cat, g):
     _same_potential(cat, g)
 
 
-def _term_table(mat, scale, by_col, sign):
-    """mat -> {line: [(other, (mons, res, ims)), ...]}, grouped by row or col.
-
-    ``mons`` holds the monomials of the entry in ascending lex order, and
-    ``res`` and ``ims`` the integer real and imaginary parts of their
-    coefficients times ``sign * scale`` (scale a multiple of every
-    denominator), in the same order.
-    """
-    table = {}
-    for i, row in enumerate(mat):
-        for j, p in enumerate(row):
-            if not p.terms:
-                continue
-            items = sorted(p.terms.items())
-            terms = (tuple(mon for mon, _ in items),
-                     tuple(sign * c.a * (scale // c.d) for _, c in items),
-                     tuple(sign * c.b * (scale // c.d) for _, c in items))
-            line, other = (j, i) if by_col else (i, j)
-            table.setdefault(line, []).append((other, terms))
-    return table
-
-
 def _denominator(g):
     """lcm of the coefficient denominators of g's blocks; kept per blocks."""
     L = g._block_memo.get("L")
@@ -102,26 +80,47 @@ def _denominator(g):
     return L
 
 
-def _terms(g, block, scale, by_col, sign=1):
-    """The term table of g's block ``"phi"`` or ``"psi"`` at ``sign * scale``,
-    built once per blocks."""
-    key = ("tables", scale, by_col, sign, block)
-    table = g._block_memo.get(key)
-    if table is None:
-        table = g._block_memo[key] = _term_table(getattr(g, block), scale,
-                                                 by_col, sign)
-    return table
-
-
-@functools.lru_cache(maxsize=4096)
-def _positions(a, b, c, w):
-    """{monomial: lex position} over the monomials of weighted degree w.
-
-    One table per degree, shared by every system, which only reads it;
-    iterating it yields the monomials in ascending lex order (see
-    :func:`weighted_monomials`).
+def _lines(g, block, by_col, scale, sign, stride, B):
+    """Templates of g's block ``"phi"`` or ``"psi"``, one kernel row per row
+    (per column with ``by_col``), built once per blocks: the term c*x^e of
+    the entry at index k along the line sits at column k*stride*B^3 +
+    code(e), with value sign*scale*c (scale a multiple of every denominator).
     """
-    return {mon: p for p, mon in enumerate(weighted_monomials(a, b, c, w))}
+    key = ("tables", scale, by_col, sign, block, stride, B)
+    lines = g._block_memo.get(key)
+    if lines is None:
+        mat, E = getattr(g, block), B ** 3
+        lines = g._block_memo[key] = []
+        for line in range(g.r):
+            cols, res, ims = row = ([], [], [])
+            for k in range(g.r):
+                p = mat[k][line] if by_col else mat[line][k]
+                for (e0, e1, e2), co in sorted(p.terms.items()):
+                    q = sign * (scale // co.d)
+                    cols.append(k * stride * E + (e0 * B + e1) * B + e2)
+                    res.append(co.a * q)
+                    ims.append(co.b * q)
+            lines.append(row)
+    return lines
+
+
+class _CodeTable(dict):
+    """{d: code(m) = (m0*B + m1)*B + m2 of each monomial m of weighted degree
+    d / step, ascending, or () unless step divides d}, filled on first use
+    of each d and shared through :func:`_code_table`."""
+
+    def __init__(self, a, b, c, step, B):
+        self.args = a, b, c, step, B
+
+    def __missing__(self, d):
+        a, b, c, step, B = self.args
+        codes = self[d] = () if d % step else tuple(
+            (m0 * B + m1) * B + m2
+            for m0, m1, m2 in weighted_monomials(a, b, c, d // step))
+        return codes
+
+
+_code_table = functools.lru_cache(maxsize=256)(_CodeTable)
 
 
 class _System:
@@ -136,32 +135,25 @@ class _System:
     E0 = 0 forces E1 = 0.  This needs src and dst to factor one f, as does
     dim = nvars - rank Z - rank B (boundaries are cocycles only then).
 
-    ``entry`` maps each entry (blk, i, j) with admissible monomials to
-    ``(offset, positions)``: its variables are offset + the lex position of
-    each monomial, from one shared table per degree (:func:`_positions`), so
-    no variable has a key of its own.  ``images`` holds the cocycle map as
-    one row per variable, its image d(e_v) in E0, whose columns are laid
-    out the same way: the offset of an entry of E0 plus the position of a
-    monomial of its degree, ``ncols`` in all.  ``cocycle_rows``, the
-    equations E0 = 0 that :func:`kernel.nullspace` solves, is their
-    transpose, built on first use: one row per column of E0 that some image
-    meets, in column order.
+    Columns are additive codes.  B is a power of two above every entry
+    degree of the system, so code(m) = (m0*B + m1)*B + m2 has code(m + e) =
+    code(m) + code(e) and ascends in lex order.  Variable (blk, i, j, m) is
+    column ((blk*rd + i)*rs + j)*B^3 + code(m), with rd = dst.r and rs =
+    src.r (see :meth:`code` and :meth:`key`; ``columns`` lists them
+    ascending), and entry (i, k) of E0 at m is (i*rs + k)*B^3 + code(m).
+    So the image d(e_v) of v = (1, i, j, m) is the template of column i of
+    dst.phi (see :func:`_lines`) plus j*B^3 + code(m), and a boundary row is
+    two templates plus constants.  Rows may share coefficient lists with a
+    template, as the kernel never mutates an input row.  ``images`` holds
+    d(e_v) in column order and ``cocycle_rows``, the equations E0 = 0 that
+    :func:`kernel.nullspace` solves, their transpose, one row per column of
+    E0 that some image meets, in column order; both are built when read.
 
-    Assembly runs on Python ints only.  The coefficients of the four blocks
-    (dst.phi, dst.psi, src.phi, src.psi) are multiplied by one common
-    denominator L, 1 whenever every block is over the Gaussian integers, so
-    each row is a positive integer multiple of the row cleared on its own
-    (and equal to it when L = 1); the kernel normalizes row content, so the
-    two span the same space.  Slot degrees are kept as exact integers on the
-    h*D scale, where D, the common denominator of all h*S, is 1 unless the
-    slots sit off the (1/h)Z lattice; a pair of slots whose difference is not
-    an even integer on the h scale admits no monomials.
-
-    What depends on one object alone is built once and read back: its L and
-    its term tables from its block memo, which every twist tau^n of it
-    shares, and its integer slot degrees from ``h_degrees``.  Tables are
-    kept per scale, so only a partner that raises L costs new tables, and
-    degrees are rescaled only for a partner that raises D.
+    Assembly runs on Python ints only: the blocks' coefficients are scaled
+    by their common denominator L, which the kernel's content normalization
+    absorbs, and slot degrees are integers on the h*D scale (D = 1 unless
+    slots sit off the (1/h)Z lattice).  Templates live in an object's block
+    memo, which every twist tau^n of it shares.
 
     ``cocycles=False`` or ``boundaries=False`` leaves that row family empty,
     for a caller that already knows its rank (see :func:`hom_dim`); the
@@ -171,143 +163,146 @@ class _System:
     def __init__(self, src, dst, cocycles=True, boundaries=True):
         _expect(GradedMF, src, dst)
         _same_potential(src, dst)
-        self.src = src
-        self.dst = dst
+        self.src, self.dst = src, dst
         W = src.W
         a, b, c, h = W.a, W.b, W.c, W.h
         D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
         ss, sbs = src.h_slots(D)
         sd, sbd = dst.h_slots(D)
-        step = 2 * D  # one unit of integer weighted degree on the h*D scale
+        self._slots = (sd, ss), (sbd, sbs)
+        self._step = step = 2 * D  # one unit of integer weighted degree
         one = h * D  # normalized degree 1
+        rd, rs = dst.r, src.r
+        # no entry in play has a degree above the slot spread plus one; with
+        # B at least 64, most systems share one B, and so their templates
+        slots = (*ss, *sbs, *sd, *sbd)
+        top = (max(slots) + one - min(slots)) // step if slots else 0
+        self.B = B = max(64, 1 << top.bit_length())
+        E = B ** 3
+        table = _code_table(a, b, c, step, B)
 
-        def entries(drow, dcol):
-            """(i, j, positions) over the entries whose degree
-            drow[i] - dcol[j] admits monomials, in (i, j) order.  Only
-            columns of the row's residue mod step can qualify."""
-            by_residue = {}
-            for j, dj in enumerate(dcol):
-                by_residue.setdefault(dj % step, []).append((j, dj))
+        def admissible(drow, dcol, shift=0):
+            """[(i, j, codes)] over the entries whose degree
+            (drow[i] - shift - dcol[j]) / step admits monomials, in (i, j)
+            order."""
+            out = []
             for i, di in enumerate(drow):
-                for j, dj in by_residue.get(di % step, ()):
+                di -= shift
+                for j, dj in enumerate(dcol):
                     if dj <= di:
-                        pos = _positions(a, b, c, (di - dj) // step)
-                        if pos:
-                            yield i, j, pos
+                        codes = table[di - dj]
+                        if codes:
+                            out.append((i, j, codes))
+            return out
 
-        def layout(*blocks):
-            """{key + (i, j): (offset, positions)} over the entries of each
-            (key, row degrees, column degrees), and the columns laid out."""
-            out, n = {}, 0
-            for key, drow, dcol in blocks:
-                for i, j, pos in entries(drow, dcol):
-                    out[key + (i, j)] = (n, pos)
-                    n += len(pos)
-            return out, n
-
-        def fill(out, lines, mons):
-            """Append one row per monomial m of ``mons``: each line (offset,
-            positions, terms) puts each coefficient of its terms at offset +
-            the position of m times the term's monomial.  The lines land in
-            distinct entries, in increasing offset order, and terms are in
-            lex order, so every row has strictly increasing columns."""
-            for m0, m1, m2 in mons:
-                cols, res, ims = row = ([], [], [])
-                for (off, pos), (emons, eres, eims) in lines:
-                    for e0, e1, e2 in emons:
-                        cols.append(off + pos[m0 + e0, m1 + e1, m2 + e2])
-                    res += eres
-                    ims += eims
-                out.append(row)
-
-        # block 0 variables precede block 1 ones, each in (i, j, lex) order
-        self.entry, self.nvars = layout(((0,), sd, ss), ((1,), sbd, sbs))
-        entry = self.entry
-        self.ncols = 0
-        self.images = images = []
+        self._entries = [(blk, i, j, ((blk * rd + i) * rs + j) * E, codes)
+                         for blk, (drow, dcol) in enumerate(self._slots)
+                         for i, j, codes in admissible(drow, dcol)]
+        self.nvars = sum([len(e[4]) for e in self._entries])
         self.boundary_rows = rows = []
+        self._templates = None
         if not self.nvars or not (cocycles or boundaries):
             return
-
         L = math.lcm(_denominator(src), _denominator(dst))
-        dphi, dpsi = _terms(dst, "phi", L, True), _terms(dst, "psi", L, True)
-        sphi, spsi = _terms(src, "phi", L, False), _terms(src, "psi", L, False)
-
-        # The cocycle map as one image row per variable, in index order; the
-        # entry (i, j) of E0 has degree sd[i] + one - sbs[j].
+        dphi = _lines(dst, "phi", True, L, 1, rs, B)
         if cocycles:
-            eoff, self.ncols = layout(((), [s + one for s in sd], sbs))
-            nsphi = _terms(src, "phi", L, False, -1)
-            for (blk, i, j), (_, pos) in entry.items():
-                if blk:  # dst.phi[k][i] * phi1[i][j] lands in E0[k][j]
-                    fill(images, [(eoff[k, j], t) for k, t in dphi.get(i, ())],
-                         pos)
-                else:  # -phi0[i][j] * src.phi[j][k] lands in E0[i][k]
-                    fill(images, [(eoff[i, k], t) for k, t in nsphi.get(j, ())],
-                         pos)
+            self._templates = dphi, _lines(src, "phi", False, L, -1, 1, B)
         if not boundaries:
             return
+        # Boundary generators: the image of every admissible homotopy
+        # monomial hA (dst-first x src-second) and hB (dst-second x
+        # src-first) under H -> (phi'*hB + hA*psi, psi'*hA + hB*phi); the
+        # block 0 template comes first, so the columns increase.
+        spsi = _lines(src, "psi", False, L, 1, 1, B)
+        dpsi = _lines(dst, "psi", True, L, 1, rs, B)
+        sphi = _lines(src, "phi", False, L, 1, 1, B)
+        for (c0, r0, i0), (c1, r1, i1), o0, o1, codes in (
+                [(spsi[j], dpsi[i], i * rs * E, (rd * rs + j) * E, codes)
+                 for i, j, codes in admissible(sd, sbs, one)]
+                + [(dphi[i], sphi[j], j * E, (rd + i) * rs * E, codes)
+                   for i, j, codes in admissible(sbd, ss, one)]):
+            res, ims = r0 + r1, i0 + i1
+            for cm in codes:
+                a0, a1 = o0 + cm, o1 + cm
+                rows.append(([t + a0 for t in c0] + [t + a1 for t in c1],
+                             res, ims))
 
-        # Boundary generators: the image in the variable space of every
-        # admissible homotopy monomial hA (dst-first x src-second) and hB
-        # (dst-second x src-first), under H -> (phi'*hB + hA*psi,
-        # psi'*hA + hB*phi).  Block 0 variables precede block 1 ones, so
-        # listing the block 0 lines first keeps their offsets increasing.
-        for i, j, mons in entries(sd, [s + one for s in sbs]):
-            fill(rows, [(entry[0, i, k], t) for k, t in spsi.get(j, ())]
-                 + [(entry[1, k, j], t) for k, t in dpsi.get(i, ())], mons)
-        for i, j, mons in entries(sbd, [s + one for s in ss]):
-            fill(rows, [(entry[0, k, j], t) for k, t in dphi.get(i, ())]
-                 + [(entry[1, i, k], t) for k, t in sphi.get(j, ())], mons)
+    def images_off(self, skip):
+        """d(e_v) for every variable v not in ``skip``, in column order; []
+        when no cocycles were assembled."""
+        if self._templates is None:
+            return []
+        (dphi, nsphi), E, rs = self._templates, self.B ** 3, self.src.r
+        out = []
+        for blk, i, j, base, codes in self._entries:
+            # dst.phi[k][i] * phi1[i][j] lands in E0[k][j] and
+            # -phi0[i][j] * src.phi[j][k] in E0[i][k]
+            cols, res, ims = dphi[i] if blk else nsphi[j]
+            off = j * E if blk else i * rs * E
+            for cm in codes:
+                if base + cm not in skip:
+                    o = off + cm
+                    out.append(([t + o for t in cols], res, ims))
+        return out
+
+    images = functools.cached_property(lambda self: self.images_off(()))
+    columns = functools.cached_property(lambda self: [
+        base + cm for *_, base, codes in self._entries for cm in codes])
 
     @functools.cached_property
     def cocycle_rows(self):
-        """The cocycle equations, the transpose of ``images``; [] when no
-        cocycles were assembled."""
-        eqs = [([], [], []) for _ in range(self.ncols)]
-        for v, (cols, res, ims) in enumerate(self.images):
-            for c, re, im in zip(cols, res, ims):
-                vs, eq_res, eq_ims = eqs[c]
+        """The transpose of ``images``, keyed by the column of E0."""
+        eqs = {}
+        for v, (cols, res, ims) in zip(self.columns, self.images):
+            for t, re, im in zip(cols, res, ims):
+                vs, eq_res, eq_ims = eqs.setdefault(t, ([], [], []))
                 vs.append(v)
                 eq_res.append(re)
                 eq_ims.append(im)
-        return [row for row in eqs if row[0]]
+        return [eqs[t] for t in sorted(eqs)]
 
-    @functools.cached_property
-    def var_keys(self):
-        """(blk, i, j, monomial) of every variable, in index order."""
-        return [(blk, i, j, mon) for (blk, i, j), (_, pos) in self.entry.items()
-                for mon in pos]
+    def code(self, blk, i, j, mon):
+        """The column of variable (blk, i, j, mon); None unless monomial mon
+        has the degree of that entry."""
+        (drow, dcol), (m0, m1, m2), W = self._slots[blk], mon, self.src.W
+        if self._step * (W.a * m0 + W.b * m1 + W.c * m2) != drow[i] - dcol[j]:
+            return None
+        B = self.B
+        return (((blk * self.dst.r + i) * self.src.r + j) * B ** 3
+                + (m0 * B + m1) * B + m2)
+
+    def key(self, code):
+        """(blk, i, j, monomial) of the variable at column ``code``."""
+        B = self.B
+        q, m = divmod(code, B ** 3)
+        q, j = divmod(q, self.src.r)
+        blk, i = divmod(q, self.dst.r)
+        return blk, i, j, (m // (B * B),) + divmod(m % (B * B), B)
 
     def morphism_from_row(self, row):
         """Integer kernel row in variable space -> Morphism."""
-        phi0 = [[Poly() for _ in range(self.src.r)] for _ in range(self.dst.r)]
-        phi1 = [[Poly() for _ in range(self.src.r)] for _ in range(self.dst.r)]
-        keys = self.var_keys
+        phi = [[[Poly()] * self.src.r for _ in range(self.dst.r)]
+               for _ in range(2)]
         for c, re, im in zip(*row):
-            blk, i, j, mon = keys[c]
-            tgt = phi0 if blk == 0 else phi1
-            tgt[i][j] = tgt[i][j] + Poly.monomial(mon, GaussRat(re, im))
-        return Morphism(self.src, self.dst, tuple(map(tuple, phi0)),
-                        tuple(map(tuple, phi1)))
+            blk, i, j, mon = self.key(c)
+            phi[blk][i][j] += Poly.monomial(mon, GaussRat(re, im))
+        return Morphism(self.src, self.dst, *phi)
 
 
-def _vectorize(entry, m):
-    """Morphism -> (kernel row, scale): row equals scale * coefficient vector.
-
-    ``entry`` is the variable map of the morphism's ``_System``.
-    """
+def _vectorize(sys, m):
+    """Morphism -> (kernel row, scale): row equals scale * coefficient vector
+    over the columns of ``sys``, the morphism's ``_System``."""
     items = []
     for blk, mat in ((0, m.phi0), (1, m.phi1)):
         for i, row in enumerate(mat):
             for j, p in enumerate(row):
-                off, pos = entry.get((blk, i, j), (0, {}))
                 for mon, c in p.terms.items():
-                    if mon not in pos:
+                    code = sys.code(blk, i, j, mon)
+                    if code is None:
                         raise PolyError(
                             "morphism entry (%d,%d,%d) has a monomial of "
                             "inadmissible degree" % (blk, i, j))
-                    items.append((off + pos[mon], c))
+                    items.append((code, c))
     return _clear_row(items)
 
 
@@ -319,12 +314,12 @@ class HomSpace:
     exact solve.
     """
 
-    def __init__(self, src, dst, dim, basis, entry, solve_columns):
+    def __init__(self, src, dst, dim, basis, system, solve_columns):
         self.src = src
         self.dst = dst
         self.dim = dim
         self.basis = basis
-        self._entry = entry  # the variable map of the system, not its rows
+        self._system = system
         self._solve_columns = solve_columns
 
     def coordinates(self, m):
@@ -335,11 +330,7 @@ class HomSpace:
         _expect(Morphism, m)
         _same_object(m.src, self.src, "morphism from another source")
         _same_object(m.dst, self.dst, "morphism to another target")
-        if not self._entry:
-            if m.is_zero():
-                return [GaussRat(0)] * self.dim
-            raise PolyError("nonzero morphism in a trivial variable space")
-        row, scale = _vectorize(self._entry, m)
+        row, scale = _vectorize(self._system, m)
         sol = kernel.solve(self._solve_columns, row)
         if sol is None:
             raise PolyError("morphism is not a closed cocycle")
@@ -356,9 +347,7 @@ class HomSpace:
 def hom_space(src, dst):
     """Full Hom space with witness basis and coordinate solver."""
     sys = _System(src, dst)
-    if not sys.nvars:
-        return HomSpace(src, dst, 0, [], {}, [])
-    _, zrows = kernel.nullspace(sys.cocycle_rows, sys.nvars)
+    _, zrows = kernel.nullspace(sys.cocycle_rows, sys.columns)
     chosen, rank_b = kernel.select_independent(sys.boundary_rows, zrows)
     basis = [sys.morphism_from_row(zrows[i]) for i in chosen]
     # rank B + len(chosen) = rank(B + Z) >= len(Z), with equality iff B lies
@@ -367,7 +356,7 @@ def hom_space(src, dst):
     if dim != len(chosen):
         raise ArithmeticError("boundary image escapes the cocycle space")
     solve_columns = [zrows[i] for i in chosen] + sys.boundary_rows
-    return HomSpace(src, dst, dim, basis, sys.entry, solve_columns)
+    return HomSpace(src, dst, dim, basis, sys, solve_columns)
 
 
 def _free_images(sys):
@@ -383,8 +372,7 @@ def _free_images(sys):
     ech = kernel.Echelon()
     for row in sorted(sys.boundary_rows, key=lambda r: len(r[0])):
         ech.insert(row)
-    pivots = ech.pivots
-    return ech.rank, [row for v, row in enumerate(sys.images) if v not in pivots]
+    return ech.rank, sys.images_off(ech.pivots)
 
 
 def hom_dim(src, dst, ranks=None):
@@ -400,13 +388,21 @@ def hom_dim(src, dst, ranks=None):
     rank, which is exact and cuts the elimination short whenever the
     dimension is 0.
 
-    ``ranks`` is ``(memo, z_key, b_key)``: the memo keys of the two
+    ``ranks`` is ``(memo, z_key, b_key)``, a dict and the keys of the two
     differentials of the Hom complex whose ranks are rank Z and rank B (see
     :func:`_class_dim`).  A rank found in the memo is neither assembled nor
     computed again, and a rank computed is stored.
     """
-    memo, z_key, b_key = ranks or ({}, "Z", "B")
-    rank_z, rank_b = memo.get(z_key), memo.get(b_key)
+    if ranks is None:
+        ranks = {}, "Z", "B"
+    try:  # a tuple of a dict and two keys, which must hash
+        if type(ranks) is not tuple or type(ranks[0]) is not dict:
+            raise TypeError
+        memo, z_key, b_key = ranks
+        rank_z, rank_b = memo.get(z_key), memo.get(b_key)
+    except (TypeError, ValueError, IndexError):
+        raise PolyError("ranks must be a (dict, key, key) triple, got %r"
+                        % (ranks,)) from None
     sys = _System(src, dst, rank_z is None, rank_b is None)
     if not sys.nvars:
         return 0
@@ -690,13 +686,10 @@ def _constant_coords(sys, keys):
     :meth:`_System.morphism_from_row`), so these are that morphism's
     constant terms, as Gaussian integers.
     """
-    where = []
-    for t, key in enumerate(keys):
-        off, pos = sys.entry.get(key, (0, {}))
-        if (0, 0, 0) in pos:
-            where.append((t, off + pos[0, 0, 0]))
+    where = [(t, sys.code(*key, (0, 0, 0))) for t, key in enumerate(keys)]
+    where = [(t, v) for t, v in where if v is not None]
     out = []
-    for row in kernel.nullspace(sys.cocycle_rows, sys.nvars)[1]:
+    for row in kernel.nullspace(sys.cocycle_rows, sys.columns)[1]:
         cols, res, ims = row
         vec = {}
         for t, vidx in where:
@@ -878,7 +871,7 @@ def _serre_rhs_dim(cat, k_y, k_x, n):
     # by value, so the target is T M^k_x_m with m = n + t, whose cocycle
     # map is d^1_m and boundary map d^0_m (see _class_dim).
     m = n + _serre_t_offset(cat, k_x)
-    return hom_dim(cat.object(k_y, 0), tau(_vertex_serre(cat, k_x), n),
+    return hom_dim(cat.object(k_y, 0), _twisted_serre(cat, k_x, n),
                    (cat.memo, ("rank_d", k_y, k_x, 1, m),
                     ("rank_d", k_y, k_x, 0, m)))
 
@@ -887,6 +880,12 @@ def _serre_rhs_dim(cat, k_y, k_x, n):
 def _vertex_serre(cat, k):
     """S(M^k_0) as a raw block pair, never identified against the catalog."""
     return serre(cat.object(k, 0))
+
+
+@_per_catalog
+def _twisted_serre(cat, k, n):
+    """tau^n S(M^k_0), sharing the blocks of :func:`_vertex_serre`."""
+    return tau(_vertex_serre(cat, k), n)
 
 
 @_per_catalog

@@ -208,14 +208,15 @@ def rank(rows, bound=None):
     return n
 
 
-def nullspace(rows, ncols):
+def nullspace(rows, columns):
     """Canonical kernel basis of the system ``rows · x = 0``.
 
-    Returns ``(free_cols, basis)`` where ``basis[t]`` is an integer row: the
-    kernel vector that is 1 at ``free_cols[t]`` and 0 at every other free
-    column, multiplied by the one positive rational that makes the gcd of
-    all its parts 1.  Its entry at ``free_cols[t]`` is then a positive
-    integer.  Pivot columns are the lexicographically smallest possible (an
+    ``columns`` lists the unknowns' columns in ascending order, a superset
+    of the columns the rows meet.  Returns ``(free_cols, basis)`` where
+    ``basis[t]`` is an integer row: the kernel vector that is 1 at
+    ``free_cols[t]`` and 0 at every other free column, multiplied by the
+    one positive rational that makes the gcd of all its parts 1.  Its entry
+    at ``free_cols[t]`` is then a positive integer.  Pivot columns are the lexicographically smallest possible (an
     invariant of the row space), so the basis is canonical.  Rows are
     inserted short rows first, as in :func:`rank`: the basis does not depend
     on the order, but the size of the stored pivots does.
@@ -226,7 +227,7 @@ def nullspace(rows, ncols):
     pivots = ech.pivots
     pivot_cols = sorted(pivots)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    free_cols = [c for c in columns if c not in pivot_set]
     basis = []
     for f in free_cols:
         # vec is a positive integer multiple of the kernel vector, with the
@@ -302,7 +303,7 @@ def solve(columns, rhs):
     for idx in range(len(rc)):
         by_coord.setdefault(rc[idx], []).append((ncols, -rr[idx], -ri[idx]))
     rows = [row_from_items(items) for _, items in sorted(by_coord.items())]
-    free_cols, basis = nullspace(rows, ncols + 1)
+    free_cols, basis = nullspace(rows, range(ncols + 1))
     if free_cols and free_cols[-1] == ncols:
         # the rhs column is the last free column and the last entry of its row
         cols, res, ims = basis[-1]

@@ -914,3 +914,13 @@ def cocycle_rows_reference(src, dst):
             for (e0, e1, e2), re, im in line:
                 eqs[at + (m0 + e0, m1 + e1, m2 + e2)].append((vidx, re, im))
     return [tuple(map(list, zip(*eqs[key]))) for key in sorted(eqs)]
+
+
+def relabel(rows, columns):
+    """rows with each column replaced by its index in the ascending list
+    ``columns``: the order-preserving bijection from a Hom system's variable
+    columns onto 0..nvars-1, the indices of the keyed assembly."""
+    index = {c: t for t, c in enumerate(columns)}
+    if list(columns) != sorted(index):
+        raise ValueError("columns must be distinct and ascending")
+    return [([index[c] for c in cols], res, ims) for cols, res, ims in rows]

@@ -162,6 +162,9 @@ def test_malformed_windows_twists_and_vertices_raise_polyerror():
         cat.objects_in_window("x", 1)
     with pytest.raises(PolyError):
         cat.objects_in_window(0, None)
+    for lo, hi in ((0.1, 1), (0, 1.0), (0.5, 2)):
+        with pytest.raises(PolyError):
+            cat.objects_in_window(lo, hi)
     with pytest.raises(PolyError):
         cat.object(1, 1.5)
     with pytest.raises(PolyError):

@@ -205,6 +205,10 @@ def test_objects_of_another_potential_are_rejected_with_polyerror():
                 hom_dim(src, dst)
             with pytest.raises(PolyError):
                 hom_space(src, dst)
+    # the rank memo must be a (dict, key, key) triple with hashable keys
+    for ranks in (5, 0, "abc", [{}, 1, 2], ({}, 1), ([], 1, 2), ({}, [], 1)):
+        with pytest.raises(PolyError):
+            hom_dim(X, X, ranks)
     with pytest.raises(PolyError, match="different potentials"):
         decompose(cat, get_catalog("D4").object(1, 0))
 
@@ -212,6 +216,9 @@ def test_objects_of_another_potential_are_rejected_with_polyerror():
 def test_serre_duality_report_rejects_a_malformed_window():
     with pytest.raises(PolyError):
         serre_duality_report(get_catalog("A3"), "x", 1)
+    # a float bound is its binary value, not the decimal it prints as
+    with pytest.raises(PolyError):
+        serre_duality_report(get_catalog("A3"), 0.5, 2)
 
 
 def test_wrong_parity_classes_are_empty():
@@ -963,21 +970,45 @@ def _cocycle_pairs():
     return pairs
 
 
+def _assert_keyed_layout(src, dst):
+    """The system of (src, dst) is the keyed assembly under the bijection
+    that keeps the order of the variable columns; returns the system."""
+    sys = homcat._System(src, dst)
+    assert [sys.key(c) for c in sys.columns] == (
+        oracles.variable_keys_reference(src, dst))
+    assert [sys.code(*key[:3], key[3]) for key in map(sys.key, sys.columns)
+            ] == sys.columns
+    assert oracles.relabel(sys.cocycle_rows, sys.columns) == (
+        oracles.cocycle_rows_reference(src, dst))
+    assert len(sys.images) == sys.nvars
+    return sys
+
+
 def test_cocycle_rows_equal_the_keyed_assembly():
-    # the images are the columns of the keyed equations: their transpose
-    # must give today's rows in value and in order, so nullspace bases and
-    # witnesses do not move
+    # the images are the columns of the keyed equations: relabeled onto
+    # variable indices, their transpose must give the keyed rows in value
+    # and in order, so nullspace bases and witnesses do not move
     filled = 0
     for src, dst in _cocycle_pairs():
-        sys = homcat._System(src, dst)
-        assert sys.var_keys == oracles.variable_keys_reference(src, dst)
-        assert sys.cocycle_rows == oracles.cocycle_rows_reference(src, dst)
-        assert len(sys.images) == sys.nvars
+        sys = _assert_keyed_layout(src, dst)
         filled += bool(sys.cocycle_rows)
         bare = homcat._System(src, dst, cocycles=False)
         assert bare.images == bare.cocycle_rows == []
         assert bare.boundary_rows == sys.boundary_rows
     assert filled >= 100
+
+
+@pytest.mark.parametrize("t,b,n", [("A9", 5, 64), ("A9", 5, 70), ("A7", 4, 66)])
+def test_far_twists_with_exponents_past_63_keep_the_keyed_layout(t, b, n):
+    # exponents above 63 take the system's B from 64 to 128
+    cat = get_catalog(t, b)
+    for k, kp in ((1, 1), (2, 5), (4, 3)):
+        src, dst = cat.object(k, 0), cat.object(kp, n)
+        sys = _assert_keyed_layout(src, dst)
+        assert max(max(sys.key(c)[3]) for c in sys.columns) > 63
+        assert sys.B == 128
+        assert hom_dim(src, dst) == hom_space(src, dst).dim == (
+            oracles.hom_dim_reference(src, dst))
 
 
 @pytest.mark.parametrize("t,b", [("A4", 2), ("D5", None), ("E6", None)])

@@ -8,6 +8,7 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mfcat import kernel as pyk
 from mfcat.catalog import get_catalog
 from mfcat.homcat import _System
@@ -81,7 +82,8 @@ def test_row_from_fractions_clears_by_the_lcm_of_the_denominators(items):
 def test_nullspace_vectors_annihilate_the_rows():
     for sys_ in _systems():
         rows = sys_.cocycle_rows
-        free_cols, basis = pyk.nullspace(rows, sys_.nvars)
+        free_cols, basis = pyk.nullspace(rows, sys_.columns)
+        assert set(free_cols) <= set(sys_.columns)
         assert len(free_cols) == len(basis)
         assert len(basis) == sys_.nvars - pyk.rank(list(rows))
         for vec in basis:
@@ -89,8 +91,9 @@ def test_nullspace_vectors_annihilate_the_rows():
                 assert _dot(row, vec) == (0, 0)
 
 
-def _reference_nullspace(rows, ncols):
-    """Kernel basis by back substitution in Fractions, cleared to int rows.
+def _reference_nullspace(rows, columns):
+    """Kernel basis by back substitution in Fractions, cleared to int rows,
+    over the unknowns at the ascending ``columns``.
 
     Each vector is 1 at its free column; the cleared row is that vector times
     the lcm of the denominators of its parts.
@@ -100,7 +103,7 @@ def _reference_nullspace(rows, ncols):
         ech.insert(row)
     pivot_cols = sorted(ech.pivots)
     out = []
-    for f in range(ncols):
+    for f in columns:
         if f in ech.pivots:
             continue
         vec = {f: (Fraction(1), Fraction(0))}
@@ -126,9 +129,9 @@ def _reference_nullspace(rows, ncols):
     return out
 
 
-def _assert_canonical_basis(rows, ncols):
-    free_cols, basis = pyk.nullspace(rows, ncols)
-    assert basis == _reference_nullspace(rows, ncols)
+def _assert_canonical_basis(rows, columns):
+    free_cols, basis = pyk.nullspace(rows, columns)
+    assert basis == _reference_nullspace(rows, columns)
     for f, (cols, res, ims) in zip(free_cols, basis):
         assert gcd(*res, *ims) == 1
         entry = dict(zip(cols, zip(res, ims)))[f]
@@ -139,7 +142,15 @@ def _assert_canonical_basis(rows, ncols):
 
 def test_nullspace_rows_are_canonical_and_match_the_fraction_reference():
     for sys_ in _systems():
-        _assert_canonical_basis(sys_.cocycle_rows, sys_.nvars)
+        _assert_canonical_basis(sys_.cocycle_rows, sys_.columns)
+        # the basis over the variable columns is the basis over variable
+        # indices, under the bijection that keeps the column order
+        free_cols, basis = pyk.nullspace(sys_.cocycle_rows, sys_.columns)
+        index = {c: t for t, c in enumerate(sys_.columns)}
+        assert ([index[f] for f in free_cols], oracles.relabel(
+            basis, sys_.columns)) == pyk.nullspace(
+                oracles.relabel(sys_.cocycle_rows, sys_.columns),
+                range(sys_.nvars))
 
 
 gauss_ints = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
@@ -235,7 +246,7 @@ def test_nullspace_of_random_gaussian_systems_matches_the_reference(system):
     # non-unit pivot leads such as 2 or 1+i make the back substitution
     # scale by their norms; the reference divides instead
     ncols, rows = system
-    _assert_canonical_basis(rows, ncols)
+    _assert_canonical_basis(rows, range(ncols))
 
 
 @settings(max_examples=200)
