@@ -396,7 +396,7 @@ def hom_dim(src, dst, ranks=None):
     if ranks is None:
         ranks = {}, "Z", "B"
     try:  # a tuple of a dict and two keys, which must hash
-        if type(ranks) is not tuple or type(ranks[0]) is not dict:
+        if not (isinstance(ranks, tuple) and isinstance(ranks[0], dict)):
             raise TypeError
         memo, z_key, b_key = ranks
         rank_z, rank_b = memo.get(z_key), memo.get(b_key)
