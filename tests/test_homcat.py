@@ -976,8 +976,7 @@ def _assert_keyed_layout(src, dst):
     sys = homcat._System(src, dst)
     assert [sys.key(c) for c in sys.columns] == (
         oracles.variable_keys_reference(src, dst))
-    assert [sys.code(*key[:3], key[3]) for key in map(sys.key, sys.columns)
-            ] == sys.columns
+    assert [sys.code(*sys.key(c)) for c in sys.columns] == sys.columns
     assert oracles.relabel(sys.cocycle_rows, sys.columns) == (
         oracles.cocycle_rows_reference(src, dst))
     assert len(sys.images) == sys.nvars
