@@ -14,7 +14,7 @@ the base, 2 for even; phase(k, n) = (2n + sigma(k))/h.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from mfcat.gring import (
     I,
@@ -26,7 +26,14 @@ from mfcat.gring import (
     ade_polynomial,
     parse_type,
 )
-from mfcat.mf import GradedMF, solve_grading, tau, verify_grading, verify_mf
+from mfcat.mf import (
+    GradedMF,
+    _expect,
+    solve_grading,
+    tau,
+    verify_grading,
+    verify_mf,
+)
 
 
 def _p(e):
@@ -419,7 +426,7 @@ class Catalog:
         self.h = self.W.h
         self.diagram = DynkinDiagram(letter, l, b)
         self._objects = {}  # (k, n) -> M(k, n); twists share M(k, 0)'s blocks
-        self.memo = {}  # results derived from this catalog, filled by homcat
+        self.memo = {}  # results derived from this catalog, see _per_catalog
 
     def sigma(self, k):
         self._check_vertex(k)
@@ -521,6 +528,28 @@ class Catalog:
                 out.append((self.phase(k, n), k, n))
         out.sort()
         return out
+
+
+def _per_catalog(fn):
+    """Memoize ``fn(cat, *args)`` in ``cat.memo`` under ``(fn.__name__,) + args``.
+
+    PolyError unless cat is a Catalog and args hash, before the memo is read.
+    """
+
+    @wraps(fn)
+    def memoized(cat, *args):
+        _expect(Catalog, cat)
+        key = (fn.__name__,) + args
+        try:
+            return cat.memo[key]
+        except KeyError:
+            pass
+        except TypeError:
+            raise PolyError("unhashable arguments %r" % (args,)) from None
+        value = cat.memo[key] = fn(cat, *args)
+        return value
+
+    return memoized
 
 
 def window_bounds(lo, hi):

@@ -9,16 +9,12 @@ conventions:
 * normalized degree: deg x = 2a/h etc. (so deg f = 2), used by grading
   matrices.  ``normalized = Fraction(2 * integer, h)``.
 
-Also here: the expression parser/printer, regularity of weight systems via
-exact Laurent division of the characteristic function, per-degree monomial
-bases, and the Jacobi-ring Poincare data computed degreewise by exact rank.
+Also here: the expression parser/printer and per-degree monomial bases.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-from mfcat import kernel
 
 
 class PolyError(ValueError):
@@ -528,10 +524,6 @@ class WeightSystem:
     def weights(self):
         return (self.a, self.b, self.c)
 
-    @property
-    def epsilon(self):
-        return self.a + self.b + self.c - self.h
-
     def deg(self, name):
         w = {"x": self.a, "y": self.b, "z": self.c}[name]
         return Fraction(2 * w, self.h)
@@ -573,98 +565,8 @@ def integer_degree(p, W):
     return degs.pop() if len(degs) == 1 else None
 
 
-def weighted_degree(p, W):
-    """:func:`integer_degree` in the normalized scale (deg f = 2)."""
-    d = integer_degree(p, W)
-    return None if d is None else W.normalize(d)
-
-
 # ---------------------------------------------------------------------------
-# regularity via the characteristic function
-# ---------------------------------------------------------------------------
-
-
-class RegularityReport:
-    def __init__(self, is_regular, exponents, epsilon, milnor_number):
-        self.is_regular = is_regular
-        self.exponents = exponents
-        self.epsilon = epsilon
-        self.milnor_number = milnor_number
-
-    def __repr__(self):
-        return "RegularityReport(is_regular=%r, exponents=%r, epsilon=%d, milnor_number=%r)" % (
-            self.is_regular,
-            self.exponents,
-            self.epsilon,
-            self.milnor_number,
-        )
-
-
-def _laurent_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _laurent_divide(num, den):
-    """Exact division of integer Laurent polynomials; None if inexact."""
-    num = dict(num)
-    d0 = min(den)
-    c0 = den[d0]
-    quot = {}
-    while num:
-        e = min(num)
-        c = num[e]
-        if c % c0:
-            return None
-        q = c // c0
-        qe = e - d0
-        quot[qe] = quot.get(qe, 0) + q
-        for de, dc in den.items():
-            te = qe + de
-            s = num.get(te, 0) - q * dc
-            if s:
-                num[te] = s
-            else:
-                num.pop(te, None)
-        if num and min(num) <= e:
-            return None  # lowest term not cancelled: not exact
-    return quot
-
-
-def characteristic_function(W):
-    """chi_W as an integer Laurent polynomial, or None when it has poles."""
-    a, b, c, h = W.a, W.b, W.c, W.h
-    num = {-h: 1}
-    for w in (a, b, c):
-        num = _laurent_mul(num, {h: 1, w: -1})
-    for w in (a, b, c):
-        num = _laurent_divide(num, {w: 1, 0: -1})
-        if num is None:
-            return None
-    return num
-
-
-def regularity(W):
-    """Exact regularity check; exponents with multiplicity when regular."""
-    chi = characteristic_function(W)
-    if chi is None or any(c < 0 for c in chi.values()):
-        return RegularityReport(False, [], W.epsilon, None)
-    exponents = []
-    for e in sorted(chi):
-        exponents.extend([e] * chi[e])
-    return RegularityReport(True, exponents, W.epsilon, len(exponents))
-
-
-# ---------------------------------------------------------------------------
-# monomial bases and the Jacobi ring
+# monomial bases
 # ---------------------------------------------------------------------------
 
 
@@ -695,68 +597,6 @@ def weighted_monomials(a, b, c, w):
             if rb % c == 0:
                 out.append((i, j, rb // c))
     return tuple(out)
-
-
-def _monomial_index(monomials):
-    return {m: idx for idx, m in enumerate(monomials)}
-
-
-def _span_rank(vectors):
-    """Rank of a list of polynomials expressed over an indexed monomial set.
-
-    vectors: list of (poly, index_map); coefficients are cleared to Gaussian
-    integers row by row.
-    """
-    rows = [kernel.row_from_fractions(
-        [(index[e], c.a, c.b, c.d) for e, c in poly.terms.items()])[0]
-        for poly, index in vectors]
-    return kernel.rank(rows)
-
-
-def milnor_poincare(f, W):
-    """Graded dimensions of the Jacobi ring R/(f_x, f_y, f_z).
-
-    Returns (total_dim, graded_dims) with graded_dims[w] the dimension in
-    integer weighted degree w.  The regularity exponent count is a certified
-    stopping bound: degrees are scanned through the socle bound and the
-    cumulative dimension must land exactly on that count.
-    """
-    report = regularity(W)
-    if not report.is_regular:
-        raise PolyError("weight system is not regular")
-    predicted = report.milnor_number
-    partials = [f.diff(v) for v in "xyz"]
-    pdegs = [W.h - w for w in W.weights]
-    for p, d in zip(partials, pdegs):
-        if p and weighted_degree(p, W) != W.normalize(d):
-            raise PolyError("f is not weighted-homogeneous of degree 2")
-    socle = 3 * W.h - 2 * (W.a + W.b + W.c)
-    dims = []
-    total = 0
-    for w in range(socle + 1):
-        basis = monomial_basis(W, W.normalize(w))
-        index = _monomial_index(basis)
-        gens = []
-        for p, d in zip(partials, pdegs):
-            if not p:
-                continue
-            for m in monomial_basis(W, W.normalize(w - d)):
-                gens.append((Poly.monomial(m) * p, index))
-        dim = len(basis) - _span_rank(gens)
-        dims.append(dim)
-        total += dim
-        if total > predicted:
-            raise PolyError(
-                "Jacobi dimension exceeds the regularity prediction "
-                "(non-isolated singularity or inconsistent input)"
-            )
-    if total != predicted:
-        raise PolyError(
-            "Jacobi ring not finite dimensional within the socle bound"
-        )
-    while dims and dims[-1] == 0:
-        dims.pop()
-    return total, dims
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import kernel
-from .catalog import Catalog
+from .catalog import Catalog, _per_catalog
 from .gring import ZERO, GaussRat, Poly, PolyError, weighted_monomials
 from .mf import (
     GradedMF,
@@ -751,28 +751,6 @@ def identify_object(cat, g):
     if found is None or found[2].r:
         return None
     return found[:2]
-
-
-def _per_catalog(fn):
-    """Memoize ``fn(cat, *args)`` in ``cat.memo`` under ``(fn.__name__,) + args``.
-
-    PolyError unless cat is a Catalog and args hash, before the memo is read.
-    """
-
-    @functools.wraps(fn)
-    def memoized(cat, *args):
-        _expect(Catalog, cat)
-        key = (fn.__name__,) + args
-        try:
-            return cat.memo[key]
-        except KeyError:
-            pass
-        except TypeError:
-            raise PolyError("unhashable arguments %r" % (args,)) from None
-        value = cat.memo[key] = fn(cat, *args)
-        return value
-
-    return memoized
 
 
 @_per_catalog

@@ -130,6 +130,8 @@ class GradedMF:
                  "_h_degrees")
 
     def __init__(self, f, W, phi, psi, S, label=""):
+        _expect(Poly, f)
+        _expect(WeightSystem, W)
         self.f = f
         self.W = W
         self.phi = _poly_block(phi)
@@ -340,11 +342,6 @@ class Morphism:
         return "Morphism(%r -> %r)" % (self.src, self.dst)
 
 
-def identity_morphism(g):
-    _expect(GradedMF, g)
-    return Morphism(g, g, mat_identity(g.r), mat_identity(g.r))
-
-
 def verify_morphism(m):
     """Grading + cocycle check for a Morphism; list of violations."""
     _expect(Morphism, m)
@@ -445,21 +442,6 @@ def _block_components(g):
                                   % (len(rows), len(cols)))
         out.append(_restrict(g, g.phi, g.psi, rows, cols))
     return out
-
-
-def permute_slots(g, perm0, perm1):
-    """Relabel slots: perm0 on the phi-row half, perm1 on the psi-row half.
-
-    new_phi[i][j] = phi[perm0[i]][perm1[j]]; an isomorphism of graded MFs.
-    PolyError unless perm0 and perm1 are permutations of range(r).
-    """
-    _expect(GradedMF, g)
-    r = g.r
-    if not all(isinstance(p, (list, tuple)) and sorted(p) == list(range(r))
-               for p in (perm0, perm1)):
-        raise PolyError("slot relabelings must be permutations of range(%d)"
-                        % r)
-    return _restrict(g, g.phi, g.psi, perm0, perm1)
 
 
 # ---------------------------------------------------------------------------

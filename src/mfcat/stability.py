@@ -17,9 +17,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce as _freduce
 
-from .catalog import get_catalog
+from .catalog import _per_catalog, get_catalog
 from .gring import Poly, PolyError, ade_weight_system
-from .homcat import _per_catalog, class_hom_dim, decompose, t_image
+from .homcat import class_hom_dim, decompose, t_image
 from .mf import GradedMF, Morphism, _expect, direct_sum, verify_morphism
 from .quiver import DynkinQuiver, path_hom_dims
 

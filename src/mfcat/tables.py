@@ -10,12 +10,13 @@ are read off the diagram and the Coxeter number h: nothing is stored.
 Multisets are sorted tuples of (c, multiplicity) pairs.
 """
 
-from .catalog import get_catalog
+from .catalog import _per_catalog, get_catalog
 from .gring import PolyError
 
 __all__ = ["golden_multiset", "grid", "serre_vertex"]
 
 
+@_per_catalog
 def _mesh_row(cat, k):
     """{k': c(k, k')} by the mesh recursion over cat.diagram, kept in cat.memo.
 
@@ -24,26 +25,23 @@ def _mesh_row(cat, k):
     c = v in c(k, j).  ArithmeticError unless every level is nonnegative
     and level h - 1 vanishes, as they do for a Dynkin diagram and its h.
     """
-    key = ("mesh_row", k)
-    if key not in cat.memo:
-        dia = cat.diagram
-        prev = dict.fromkeys(dia.vertices, 0)
-        levels = [{j: int(j == k) for j in dia.vertices}]
-        for v in range(1, cat.h):
-            cur = levels[-1]
-            nxt = {j: sum(cur[i] for i in dia.neighbors(j)) - prev[j]
-                   for j in dia.vertices}
-            if min(nxt.values()) < 0:
-                raise ArithmeticError("mesh row of %s k=%d turns negative at "
-                                      "level %d" % (cat.type_str, k, v))
-            prev = cur
-            levels.append(nxt)
-        if any(levels.pop().values()):
-            raise ArithmeticError("mesh row of %s k=%d does not vanish at "
-                                  "level h - 1 = %d" % (cat.type_str, k, cat.h - 1))
-        cat.memo[key] = {j: tuple((c, m[j]) for c, m in enumerate(levels) if m[j])
-                         for j in dia.vertices}
-    return cat.memo[key]
+    dia = cat.diagram
+    prev = dict.fromkeys(dia.vertices, 0)
+    levels = [{j: int(j == k) for j in dia.vertices}]
+    for v in range(1, cat.h):
+        cur = levels[-1]
+        nxt = {j: sum(cur[i] for i in dia.neighbors(j)) - prev[j]
+               for j in dia.vertices}
+        if min(nxt.values()) < 0:
+            raise ArithmeticError("mesh row of %s k=%d turns negative at "
+                                  "level %d" % (cat.type_str, k, v))
+        prev = cur
+        levels.append(nxt)
+    if any(levels.pop().values()):
+        raise ArithmeticError("mesh row of %s k=%d does not vanish at "
+                              "level h - 1 = %d" % (cat.type_str, k, cat.h - 1))
+    return {j: tuple((c, m[j]) for c, m in enumerate(levels) if m[j])
+            for j in dia.vertices}
 
 
 def _vertex_catalog(type_str, *vertices):

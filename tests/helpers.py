@@ -1,5 +1,5 @@
-"""Shared scope lists, small utilities, engine call counters and a
-disguised-sum generator for the test suite."""
+"""Shared scope lists, small utilities, engine call counters, object
+relabelings and a disguised-sum generator for the test suite."""
 
 from __future__ import annotations
 
@@ -7,8 +7,17 @@ import functools
 import random
 
 from mfcat import homcat
-from mfcat.gring import Poly, weighted_monomials
-from mfcat.mf import GradedMF, direct_sum, mat_identity, mat_mul, mat_neg
+from mfcat.gring import Poly, PolyError, weighted_monomials
+from mfcat.mf import (
+    GradedMF,
+    Morphism,
+    _expect,
+    _restrict,
+    direct_sum,
+    mat_identity,
+    mat_mul,
+    mat_neg,
+)
 
 # Every catalog the package ships: (type_str, b) with b meaningful only
 # for A types (one catalog per 1 <= b <= l).
@@ -63,6 +72,26 @@ def count_systems(monkeypatch):
 
     monkeypatch.setattr(homcat, "_System", Counted)
     return built
+
+
+def identity_morphism(g):
+    _expect(GradedMF, g)
+    return Morphism(g, g, mat_identity(g.r), mat_identity(g.r))
+
+
+def permute_slots(g, perm0, perm1):
+    """Relabel slots: perm0 on the phi-row half, perm1 on the psi-row half.
+
+    new_phi[i][j] = phi[perm0[i]][perm1[j]]; an isomorphism of graded MFs.
+    PolyError unless perm0 and perm1 are permutations of range(r).
+    """
+    _expect(GradedMF, g)
+    r = g.r
+    if not all(isinstance(p, (list, tuple)) and sorted(p) == list(range(r))
+               for p in (perm0, perm1)):
+        raise PolyError("slot relabelings must be permutations of range(%d)"
+                        % r)
+    return _restrict(g, g.phi, g.psi, perm0, perm1)
 
 
 def _unipotent(W, slots, rng):

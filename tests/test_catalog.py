@@ -18,7 +18,6 @@ from mfcat.gring import (
     PolyError,
     ade_polynomial,
     integer_degree,
-    weighted_degree,
 )
 from mfcat.homcat import (
     ar_triangle_check,
@@ -223,11 +222,8 @@ _PHI, _PSI = catalog._blocks_A(3, 1)
                  id="serre_multiset_mirror"),
     pytest.param(lambda: integer_degree(3, _A3.W), id="integer_degree-int"),
     pytest.param(lambda: integer_degree("x", _A3.W), id="integer_degree-str"),
-    pytest.param(lambda: weighted_degree(None, _A3.W), id="weighted_degree"),
     pytest.param(lambda: integer_degree(Poly.var("x"), "w"),
                  id="integer_degree-weights"),
-    pytest.param(lambda: weighted_degree(Poly.var("x"), "w"),
-                 id="weighted_degree-weights"),
     pytest.param(lambda: solve_grading("w", _PHI, _PSI, 0),
                  id="solve_grading-weights"),
     pytest.param(lambda: solve_grading(_A3.W, 5, _PSI, 0),

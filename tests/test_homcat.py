@@ -44,10 +44,8 @@ from mfcat.mf import (
     _block_components,
     cone,
     direct_sum,
-    identity_morphism,
     mat_mul,
     mat_zero,
-    permute_slots,
     reduce,
     serre,
     serre_inverse,
@@ -59,7 +57,14 @@ from mfcat.mf import (
 from mfcat.stability import mass_certified
 from mfcat.tables import golden_multiset, serre_vertex
 
-from helpers import CATALOG_SCOPE, count_calls, count_systems, disguised_sum
+from helpers import (
+    CATALOG_SCOPE,
+    count_calls,
+    count_systems,
+    disguised_sum,
+    identity_morphism,
+    permute_slots,
+)
 
 
 def test_hom_dim_is_a_class_function_of_the_phase_gap():

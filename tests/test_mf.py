@@ -24,11 +24,9 @@ from mfcat.mf import (
     _block_components,
     cone,
     direct_sum,
-    identity_morphism,
     mat_mul,
     mf_from_json,
     mf_to_json,
-    permute_slots,
     reduce as mf_reduce,
     serre,
     serre_inverse,
@@ -41,7 +39,7 @@ from mfcat.mf import (
 )
 
 from mfcat.stability import hn_filtration
-from helpers import disguised_sum
+from helpers import disguised_sum, identity_morphism, permute_slots
 from oracles import (
     cone_reference,
     direct_sum_reference,
@@ -429,6 +427,9 @@ def test_shape_errors_raise_polyerror():
     for phi, S in ((g.phi, ["a"] * len(g.S)), (5, g.S), ([5], g.S)):
         with pytest.raises(PolyError):
             GradedMF(g.f, g.W, phi, g.psi, S)
+    for f, W in ((5, g.W), (g.f, 5)):
+        with pytest.raises(PolyError, match="expected a"):
+            GradedMF(f, W, g.phi, g.psi, g.S)
     with pytest.raises(PolyError):
         Morphism(g, g, g.phi[:-1], g.phi)
     with pytest.raises(PolyError):

@@ -98,3 +98,80 @@ def test_the_float_scan_reports_float_math_names_only():
                      "    return math.lcm(a, b) + math.gcd(a, b) * math.cos(a)\n")
     assert sorted(_float_uses(tree)) == [("", "import math.pi"),
                                          ("f", "math.cos")]
+
+
+# Module-level definitions that nothing in the package calls, and why each
+# stays: public API whose caller lives outside src/mfcat.
+PUBLIC_API = {
+    "mf_from_json": "the README's JSON load, which re-verifies the contracts",
+    "check_jacobi_annihilation": "acceptance criterion 10",
+}
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_names():
+    """The module-level names that perfbench/tracing.py wraps or counts."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            tables[getattr(node.targets[0], "id", None)] = node.value
+    spans = ast.literal_eval(tables["SPANS"])
+    counters = ast.literal_eval(tables["COUNTERS"])
+    return ({attr.split(".")[0] for _, _, attr in spans}
+            | {attr for _, attr, _ in counters})
+
+
+def _is_click_command(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def _uncalled(sources, kept):
+    """Sorted (module, name) of each module-level function or class in
+    ``sources`` ({module: source text}) that no Name, Attribute or import
+    outside its own body references, unless it is a click command, listed
+    in its module's __all__ or named in ``kept``."""
+    defined, refs, exported = [], {}, set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            scope = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = node.name
+                if not _is_click_command(node):
+                    defined.append((module, node.name))
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["__all__"]):
+                exported |= {(module, name)
+                             for name in ast.literal_eval(node.value)}
+            names = refs.setdefault((module, scope), set())
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(a.name for a in sub.names)
+    return sorted(d for d in defined if d not in exported and d[1] not in kept
+                  and not any(d[1] in names for where, names in refs.items()
+                              if where != d))
+
+
+def _src_sources():
+    return {p.stem: p.read_text() for p in SRC.glob("*.py")}
+
+
+def test_every_src_definition_has_a_caller():
+    assert _uncalled(_src_sources(), set(PUBLIC_API) | _traced_names()) == []
+
+
+def test_the_caller_census_flags_uncalled_code_only():
+    # a scan that finds nothing proves nothing: a planted orphan that only
+    # calls itself is named, and so is each public entry once its reason is
+    # dropped, while monomial_basis, which only the tracer names, is not
+    sources = _src_sources()
+    sources["gring"] += "\n\ndef _orphan():\n    return _orphan()\n"
+    found = _uncalled(sources, _traced_names())
+    assert found == sorted([("gring", "_orphan"), ("mf", "mf_from_json"),
+                            ("homcat", "check_jacobi_annihilation")])
