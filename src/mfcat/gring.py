@@ -183,14 +183,20 @@ IMAG = GaussRat(0, 1)
 
 
 def frac_str(fr):
-    """'p/q' for a Fraction, or 'p' when it is an integer."""
+    """'p/q' for a Fraction, or 'p' when it is an integer.  PolyError unless
+    fr is an int or a Fraction."""
+    if not isinstance(fr, (int, Fraction)):
+        raise PolyError("expected a Fraction, got %s" % type(fr).__name__)
     if fr.denominator == 1:
         return str(fr.numerator)
     return "%d/%d" % (fr.numerator, fr.denominator)
 
 
 def gauss_to_str(g):
-    """Canonical string for a GaussRat, parseable by parse_poly."""
+    """Canonical string for a GaussRat, parseable by parse_poly.  PolyError
+    unless g is a GaussRat."""
+    if not isinstance(g, GaussRat):
+        raise PolyError("expected a GaussRat, got %s" % type(g).__name__)
     if not g.im:
         return frac_str(g.re)
     if not g.re:
@@ -344,7 +350,10 @@ I = Poly.const(IMAG)
 
 
 def poly_to_str(p):
-    """Canonical printable form; parse_poly(poly_to_str(p)) == p."""
+    """Canonical printable form; parse_poly(poly_to_str(p)) == p.  PolyError
+    unless p is a Poly."""
+    if not isinstance(p, Poly):
+        raise PolyError("expected a Poly, got %s" % type(p).__name__)
     if not p.terms:
         return "0"
     parts = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -279,6 +280,28 @@ class _System:
         blk, i = divmod(q, self.dst.r)
         return blk, i, j, (m // (B * B),) + divmod(m % (B * B), B)
 
+    def pivot_variables(self, pivots):
+        """The columns of the block-1 variables (1, i, k, m) at the E0 entries
+        (i, k) and monomials m of ``pivots``, a :class:`_Pivots` of a system
+        with this one's rd and rs, re-coded if its B differs from this one's.
+
+        ArithmeticError if a monomial has an exponent of B or more: it is no
+        variable, and its code would land on another column.
+        """
+        B, Bp, shift = self.B, pivots.B, self.dst.r * self.src.r
+        if Bp == B:
+            off = shift * B ** 3
+            return {c + off for c in pivots.cols}
+        out = set()
+        for c in pivots.cols:
+            q, m = divmod(c, Bp ** 3)
+            m0, m = divmod(m, Bp * Bp)
+            m1, m2 = divmod(m, Bp)
+            if max(m0, m1, m2) >= B:
+                raise ArithmeticError("pivot monomial past this system's B")
+            out.add((q + shift) * B ** 3 + (m0 * B + m1) * B + m2)
+        return out
+
     def morphism_from_row(self, row):
         """Integer kernel row in variable space -> Morphism."""
         phi = [[[Poly()] * self.src.r for _ in range(self.dst.r)]
@@ -366,32 +389,74 @@ def _free_images(sys):
     span holds a vector that is 1 at p and 0 at every other pivot, so the
     image of p is a combination of the images of the non-pivot variables.
     Those nvars - rank B images therefore span the image of d^0, and
-    exactly dim Hom of them are dependent.  The boundary rows go in short
-    rows first, as in :func:`kernel.rank`.
+    exactly dim Hom of them are dependent.  The argument holds for any
+    information set of span(B) in place of the pivots (see :func:`hom_dim`).
     """
-    ech = kernel.Echelon()
-    for row in sorted(sys.boundary_rows, key=lambda r: len(r[0])):
-        ech.insert(row)
+    ech = kernel.echelon(sys.boundary_rows)
     return ech.rank, sys.images_off(ech.pivots)
+
+
+class _Pivots:
+    """A differential's rank as the pivot columns ``cols`` (E0 columns of a
+    system whose B is ``B``) of an echelon of its images; see :func:`hom_dim`.
+    ``cols`` is an ``array('q')``, or a tuple for columns past 2^63.
+    """
+
+    __slots__ = ("B", "cols")
+
+    def __init__(self, B, cols):
+        self.B = B
+        try:
+            self.cols = array("q", cols)
+        except OverflowError:
+            self.cols = tuple(cols)
+
+    def __len__(self):
+        return len(self.cols)
+
+
+def _memo_rank(value):
+    """The rank a rank-memo value records: None (unknown), an int, or the
+    length of a :class:`_Pivots`; PolyError for any other value."""
+    if value is None or type(value) is int:
+        return value
+    if isinstance(value, _Pivots):
+        return len(value)
+    raise PolyError("a rank memo value must be an int or a pivot set, got %r"
+                    % (value,))
 
 
 def hom_dim(src, dst, ranks=None):
     """dim Hom(src, dst) = nvars - rank Z - rank B, from exact ranks over Q(i).
 
     Rank-only: no witness basis is built (see :func:`hom_space`).  Z is the
-    image of the cocycle map and B the span of the boundary rows.  With
-    neither rank known, B is echeloned once and rank Z is the rank of the
-    images of the variables off its pivots (see :func:`_free_images`), of
-    which all but dim Hom are independent.  With one rank known, B lies in
-    the kernel of the cocycle map, so rank Z + rank B <= nvars: the other
-    row family is ranked only until its rank reaches nvars minus the known
-    rank, which is exact and cuts the elimination short whenever the
-    dimension is 0.
+    image of the cocycle map and B the span of the boundary rows, which lies
+    in its kernel, so rank Z + rank B <= nvars.
+
+    - Neither rank known: B is echeloned once and rank Z is the rank of the
+      images of the variables off its pivots (see :func:`_free_images`).
+    - Rank B known as a :class:`_Pivots`: B is the cocycle map of the system
+      before this one on the chain (see :func:`_class_dim`), and its pivots
+      are E0 entries (i, k) at monomials m.  Such an entry of that system's
+      images is, up to sign, the block-1 entry (i, k, m) of a boundary row
+      here, and E0 = 0 forces E1 = 0 (see :class:`_System`), so span(B)
+      projects injectively onto block 1, and the pivots, mapped to the
+      variables (1, i, k, m) by :meth:`_System.pivot_variables`, are an
+      information set of span(B).  Rank Z is then ranked from the nvars -
+      rank B images off them, and no boundary row is assembled.
+    - One rank known as an int: the other row family is ranked only until
+      its rank reaches nvars minus the known rank, which is exact and cuts
+      the elimination short whenever the dimension is 0.
 
     ``ranks`` is ``(memo, z_key, b_key)``, a dict and the keys of the two
     differentials of the Hom complex whose ranks are rank Z and rank B (see
-    :func:`_class_dim`).  A rank found in the memo is neither assembled nor
-    computed again, and a rank computed is stored.
+    :func:`_class_dim`).  A memo value is an int in [0, nvars] or a
+    :class:`_Pivots`, else PolyError.  A rank found in the memo is not
+    computed again, and a rank computed is stored, rank Z as a
+    :class:`_Pivots` whenever it was ranked from images.  A pivot set read
+    as rank B is replaced by its length: no other system reads it.
+    ArithmeticError if the pivots leave other than nvars - rank B images or
+    the dimension comes out negative.
     """
     if ranks is None:
         ranks = {}, "Z", "B"
@@ -399,22 +464,41 @@ def hom_dim(src, dst, ranks=None):
         if not (isinstance(ranks, tuple) and isinstance(ranks[0], dict)):
             raise TypeError
         memo, z_key, b_key = ranks
-        rank_z, rank_b = memo.get(z_key), memo.get(b_key)
+        z_val, b_val = memo.get(z_key), memo.get(b_key)
     except (TypeError, ValueError, IndexError):
         raise PolyError("ranks must be a (dict, key, key) triple, got %r"
                         % (ranks,)) from None
+    rank_z, rank_b = _memo_rank(z_val), _memo_rank(b_val)
     sys = _System(src, dst, rank_z is None, rank_b is None)
+    for r in (rank_z, rank_b):
+        if r is not None and not 0 <= r <= sys.nvars:
+            raise PolyError("memoized rank %d outside [0, %d]" % (r, sys.nvars))
+    pivots = b_val if isinstance(b_val, _Pivots) else None
+    if pivots is not None:
+        memo[b_key] = rank_b
     if not sys.nvars:
         return 0
-    if rank_z is None and rank_b is None:
-        rank_b, images = _free_images(sys)
-        memo[b_key] = rank_b
-        rank_z = memo[z_key] = kernel.rank(images)
+    if rank_z is None and (rank_b is None or pivots is not None):
+        if rank_b is None:
+            rank_b, images = _free_images(sys)
+            memo[b_key] = rank_b
+        else:
+            images = sys.images_off(sys.pivot_variables(pivots))
+        if len(images) != sys.nvars - rank_b:
+            raise ArithmeticError("the pivots of B are not %d variables"
+                                  % rank_b)
+        ech = kernel.echelon(images)
+        rank_z = ech.rank
+        memo[z_key] = _Pivots(sys.B, ech.pivots)
     elif rank_b is None:
         rank_b = memo[b_key] = kernel.rank(sys.boundary_rows, sys.nvars - rank_z)
     elif rank_z is None:
         rank_z = memo[z_key] = kernel.rank(sys.cocycle_rows, sys.nvars - rank_b)
-    return sys.nvars - rank_z - rank_b
+    dim = sys.nvars - rank_z - rank_b
+    if dim < 0:
+        raise ArithmeticError("memoized ranks exceed the %d variables"
+                              % sys.nvars)
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +885,11 @@ def _class_dim(cat, k, kprime, n_prime):
     Hom(-, T X_m), and d^1_m out of C^0(-, T X_m) is both the cocycle map
     of Hom(-, T X_m) and the boundary map of Hom(-, X_{m+h}), as
     T^2 X_m = X_{m+h} by value.  The memo holds rank d^p_m under
-    ``("rank_d", k, k', p, m)``, filled here and by :func:`_serre_rhs_dim`.
+    ``("rank_d", k, k', p, m)``, filled here and by :func:`_serre_rhs_dim`:
+    the pivot set of the echelon of its images (a :class:`_Pivots`) from
+    the system that ranked it as its cocycle map, until the system that
+    reads it as its boundary map, the next on the chain, replaces it by
+    its rank (see :func:`hom_dim`).
     """
     return hom_dim(cat.object(k, 0), cat.object(kprime, n_prime),
                    (cat.memo, ("rank_d", k, kprime, 0, n_prime),

@@ -186,26 +186,30 @@ class Echelon:
         return True
 
 
-def rank(rows, bound=None):
-    """Rank of a list of sparse rows, or ``min(rank, bound)``.
+def echelon(rows, bound=None):
+    """The :class:`Echelon` of a list of sparse rows, inserted short rows first.
 
-    Short rows are processed first, ties in input order (a cheap
-    Markowitz-style heuristic; the result does not depend on the order, the
-    run time does).  With a bound (an int >= 0), elimination stops once the
-    rank reaches it, so a caller that knows the rank cannot exceed the bound
-    gets the exact rank without reducing the rows left over.
+    Ties keep their input order (a cheap Markowitz-style heuristic; the span
+    and pivot columns do not depend on the order, the run time and the size
+    of the stored pivots do).  With a bound (an int >= 0), insertion stops
+    once the rank reaches it, so a caller that knows the rank cannot exceed
+    the bound gets the full span without reducing the rows left over.
     """
-    rows = sorted(rows, key=lambda r: len(r[0]))
+    ech = Echelon()
     if bound is None:
         bound = len(rows)
-    ech = Echelon()
     n = 0
-    for row in rows:
+    for row in sorted(rows, key=lambda r: len(r[0])):
         if n >= bound:
             break
-        if ech.insert(row):
-            n += 1
-    return n
+        n += ech.insert(row)
+    return ech
+
+
+def rank(rows, bound=None):
+    """Rank of a list of sparse rows, or ``min(rank, bound)``; see
+    :func:`echelon`."""
+    return echelon(rows, bound).rank
 
 
 def nullspace(rows, columns):
@@ -219,13 +223,10 @@ def nullspace(rows, columns):
     at ``free_cols[t]`` is then a positive integer.  Pivot columns are the
     lexicographically smallest possible (an invariant of the row space), so
     the basis is canonical.  Rows are inserted short rows first, as in
-    :func:`rank`: the basis does not depend on the order, but the size of
+    :func:`echelon`: the basis does not depend on the order, but the size of
     the stored pivots does.
     """
-    ech = Echelon()
-    for row in sorted(rows, key=lambda r: len(r[0])):
-        ech.insert(row)
-    pivots = ech.pivots
+    pivots = echelon(rows).pivots
     pivot_cols = sorted(pivots)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in columns if c not in pivot_set]

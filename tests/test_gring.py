@@ -16,6 +16,8 @@ from mfcat.gring import (
     WeightSystem,
     ade_polynomial,
     ade_weight_system,
+    frac_str,
+    gauss_to_str,
     integer_degree,
     monomial_basis,
     parse_poly,
@@ -177,6 +179,16 @@ def test_parse_poly_rejects_garbage():
     for call in (lambda: Poly.var("w"), lambda: Poly.var("x").diff("w")):
         with pytest.raises(PolyError):
             call()
+    # the printers that parse_poly inverts take only the type they print
+    # (frac_str also an int): anything else is a PolyError, not an
+    # AttributeError
+    assert frac_str(5) == "5" and poly_to_str(Poly()) == "0"
+    for fn, bad in ((frac_str, (None, "1/2", 0.5, GaussRat(1))),
+                    (gauss_to_str, (None, 1, Fraction(1, 2), Poly.const(1))),
+                    (poly_to_str, (None, "x", 1, GaussRat(1)))):
+        for value in bad:
+            with pytest.raises(PolyError):
+                fn(value)
 
 
 def test_parse_type_accepts_and_rejects():

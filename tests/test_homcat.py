@@ -214,6 +214,14 @@ def test_objects_of_another_potential_are_rejected_with_polyerror():
     for ranks in (5, 0, "abc", [{}, 1, 2], ({}, 1), ([], 1, 2), ({}, [], 1)):
         with pytest.raises(PolyError):
             hom_dim(X, X, ranks)
+    # a memoized rank is an int in [0, nvars] (nvars is 9 here) or a pivot
+    # set, and the ranks must leave a dimension of at least 0
+    for memo in ({"Z": "x"}, {"B": 2.5}, {"Z": -7}, {"B": 10}, {"Z": True},
+                 {"B": (1, 2)}, {"Z": None, "B": [3]}):
+        with pytest.raises(PolyError):
+            hom_dim(X, X, (memo, "Z", "B"))
+    with pytest.raises(ArithmeticError, match="exceed"):
+        hom_dim(X, X, ({"Z": 5, "B": 5}, "Z", "B"))
     with pytest.raises(PolyError, match="different potentials"):
         decompose(cat, get_catalog("D4").object(1, 0))
 
@@ -1035,6 +1043,150 @@ def test_pruned_images_leave_exactly_the_hom_dimension(t, b):
                 assert dim == hom_dim(src, dst) == hom_space(src, dst).dim
                 total += dim
     assert total > 0
+
+
+def _chain(cat, k, kprime, m):
+    """The systems of Hom(M^k_0, X_m), Hom(M^k_0, T X_m) on the engine's
+    Serre image and Hom(M^k_0, X_{m+h}), with X_m = M^k'_m: each one's
+    cocycle map is the next one's boundary map (see ``_class_dim``)."""
+    Y, t = cat.object(k, 0), homcat._serre_t_offset(cat, kprime)
+    return (homcat._System(Y, cat.object(kprime, m)),
+            homcat._System(Y, homcat._twisted_serre(cat, kprime, m - t)),
+            homcat._System(Y, cat.object(kprime, m + cat.h)))
+
+
+def _image_pivots(sys):
+    """The pivot set of an echelon of all of sys's images; it is the one
+    ``hom_dim`` stores, as pivot columns are an invariant of the span."""
+    return homcat._Pivots(sys.B, kernel.echelon(sys.images).pivots)
+
+
+def _is_information_set(sys, cols):
+    """True iff ``cols`` are rank B variables of sys on which the boundary
+    rows keep rank B."""
+    rank_b = kernel.rank(sys.boundary_rows)
+    on_cols = [kernel.row_from_items([t for t in zip(*row) if t[0] in cols])
+               for row in sys.boundary_rows]
+    return (len(cols) == rank_b and cols <= set(sys.columns)
+            and kernel.rank(on_cols) == rank_b)
+
+
+def _chain_links(cat, pairs, twists):
+    """(producer, reader) system pairs along the chains of ``pairs`` at
+    ``twists``, class to Serre side and Serre to class side."""
+    for k, kp in pairs:
+        for m in twists(kp, k):
+            if m is None:
+                continue
+            cls, srr, nxt = _chain(cat, k, kp, m)
+            yield "class to Serre", cls, srr
+            yield "Serre to class", srr, nxt
+
+
+@pytest.mark.parametrize("t,b", [("A4", 2), ("D5", None), ("E6", None),
+                                 ("A9", 5)])
+def test_mapped_image_pivots_are_an_information_set_of_the_next_boundary(t, b):
+    # the pivots of one system's images, mapped onto the next system's
+    # block-1 variables, are an information set of its boundary span, in
+    # both directions; on A9 (b=5), exponents pass 63 at far twists, which
+    # takes B from 64 to 128 along the chain, so the mapping re-codes the
+    # monomials
+    cat = get_catalog(t, b)
+    vertices = cat.diagram.vertices
+    if t == "A9":
+        pairs, twists = ((1, 1), (4, 3)), lambda kp, k: (45, 50, 52, 64)
+    else:
+        pairs = [(k, kp) for k in vertices for kp in vertices]
+        twists = lambda kp, k: [cat.twist(kp, c, cat.sigma(k))
+                                for c in range(-4, cat.h + 3)]
+    seen = Counter()
+    for direction, producer, reader in _chain_links(cat, pairs, twists):
+        cols = reader.pivot_variables(_image_pivots(producer))
+        assert _is_information_set(reader, cols), (direction, producer.dst)
+        seen[direction, producer.B != reader.B] += bool(cols)
+    assert seen["class to Serre", False] and seen["Serre to class", False]
+    if t == "A9":
+        assert seen["class to Serre", True] and seen["Serre to class", True]
+
+
+def test_the_first_block_one_columns_are_no_information_set():
+    # the control of the test above: as many real block-1 columns as B has
+    # rank, taken in column order, miss B's span somewhere on E6
+    cat = get_catalog("E6")
+    pairs = [(k, kp) for k in (1, 2) for kp in cat.diagram.vertices]
+    missed = 0
+    for _, producer, reader in _chain_links(
+            cat, pairs, lambda kp, k: range(-2, 3)):
+        cols = reader.pivot_variables(_image_pivots(producer))
+        first = reader.dst.r * reader.src.r * reader.B ** 3
+        block1 = [c for c in reader.columns if c >= first]
+        missed += not _is_information_set(reader, set(block1[:len(cols)]))
+    assert missed
+
+
+def test_a_pivot_set_passes_down_the_chain_and_is_read_once():
+    # Hom(Y, X), Hom(Y, T X) and Hom(Y, T^2 X) on one memo: each stores
+    # its cocycle map's pivots, and the next replaces them by their rank
+    cat = get_catalog("D5")
+    Y, X = cat.object(1, 0), cat.object(4, 2)
+    objects = [X, shift_T(X), shift_T(shift_T(X))]
+    memo = {}
+    for p, dst in enumerate(objects):
+        want = oracles.hom_dim_reference(Y, dst)
+        assert hom_dim(Y, dst, (memo, p, p - 1)) == want
+        assert isinstance(memo[p], homcat._Pivots) and len(memo[p])
+        if p:
+            assert type(memo[p - 1]) is int and memo[p - 1] > 0
+            # a rank B with no pivot set takes the bounded cocycle-row rank
+            assert hom_dim(Y, dst, ({"B": memo[p - 1]}, "Z", "B")) == want
+    # a monomial past the reader's B is no variable of it
+    big = homcat._Pivots(256, [(255 * 256 + 1) * 256])
+    with pytest.raises(ArithmeticError, match="past this system's B"):
+        homcat._System(Y, objects[1]).pivot_variables(big)
+
+
+@pytest.mark.parametrize("plant", ["drop one", "first columns"])
+def test_a_mapped_set_off_the_pivots_of_b_goes_red(monkeypatch, plant):
+    # planted controls: a set one short leaves one image too many, which
+    # the guard refuses; as many real block-1 columns as B has rank, taken
+    # in column order, pass that guard but break Serre duality
+    real = homcat._System.pivot_variables
+
+    def planted(self, pivots):
+        cols = real(self, pivots)
+        if plant == "drop one":
+            return cols - {min(cols)} if cols else cols
+        first = self.dst.r * self.src.r * self.B ** 3
+        return set([c for c in self.columns if c >= first][:len(cols)])
+
+    monkeypatch.setattr(homcat._System, "pivot_variables", planted)
+    if plant == "first columns":
+        assert serre_duality_report(Catalog("E6")) != []
+    else:
+        with pytest.raises(ArithmeticError, match="pivots of B"):
+            serre_duality_report(Catalog("E6"))
+
+
+def test_a_serre_sweep_reads_every_known_b_through_its_pivots(monkeypatch):
+    # path census: on a fresh catalog every system that reads a known rank
+    # B reads its pivot set, so none transposes its images for the bounded
+    # cocycle-row rank
+    built = count_systems(monkeypatch)
+    real = homcat._System.pivot_variables
+    read = []
+
+    def counted(self, pivots):
+        read.append((self, pivots))
+        return real(self, pivots)
+
+    monkeypatch.setattr(homcat._System, "pivot_variables", counted)
+    cat = Catalog("E6")
+    assert serre_duality_report(cat) == []
+    assert read and all(s.rows == (True, False) for s, _ in read)
+    assert [s for s in built if "cocycle_rows" in vars(s)] == []
+    # every pivot set read has left the memo, replaced by its rank
+    kept = {id(v) for v in cat.memo.values()}
+    assert not [p for _, p in read if id(p) in kept]
 
 
 @pytest.mark.parametrize("image", ["untransposed blocks", "half a twist"])
