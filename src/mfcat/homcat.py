@@ -444,9 +444,12 @@ def hom_dim(src, dst, ranks=None):
       variables (1, i, k, m) by :meth:`_System.pivot_variables`, are an
       information set of span(B).  Rank Z is then ranked from the nvars -
       rank B images off them, and no boundary row is assembled.
-    - One rank known as an int: the other row family is ranked only until
-      its rank reaches nvars minus the known rank, which is exact and cuts
-      the elimination short whenever the dimension is 0.
+    - Rank B known as an int and rank Z not: the int is not read, as the
+      images skip only the variables of a pivot set; B is echeloned as if
+      unknown.
+    - Rank Z known and rank B not: the boundary rows are ranked only until
+      their rank reaches nvars - rank Z, which is exact and cuts the
+      elimination short whenever the dimension is 0.
 
     ``ranks`` is ``(memo, z_key, b_key)``, a dict and the keys of the two
     differentials of the Hom complex whose ranks are rank Z and rank B (see
@@ -469,17 +472,20 @@ def hom_dim(src, dst, ranks=None):
         raise PolyError("ranks must be a (dict, key, key) triple, got %r"
                         % (ranks,)) from None
     rank_z, rank_b = _memo_rank(z_val), _memo_rank(b_val)
-    sys = _System(src, dst, rank_z is None, rank_b is None)
+    pivots = b_val if isinstance(b_val, _Pivots) else None
+    sys = _System(src, dst, rank_z is None,
+                  pivots is None and None in (rank_z, rank_b))
     for r in (rank_z, rank_b):
         if r is not None and not 0 <= r <= sys.nvars:
             raise PolyError("memoized rank %d outside [0, %d]" % (r, sys.nvars))
-    pivots = b_val if isinstance(b_val, _Pivots) else None
     if pivots is not None:
         memo[b_key] = rank_b
+    elif rank_z is None:
+        rank_b = None  # the images skip only the variables of a pivot set
     if not sys.nvars:
         return 0
-    if rank_z is None and (rank_b is None or pivots is not None):
-        if rank_b is None:
+    if rank_z is None:
+        if pivots is None:
             rank_b, images = _free_images(sys)
             memo[b_key] = rank_b
         else:
@@ -492,8 +498,6 @@ def hom_dim(src, dst, ranks=None):
         memo[z_key] = _Pivots(sys.B, ech.pivots)
     elif rank_b is None:
         rank_b = memo[b_key] = kernel.rank(sys.boundary_rows, sys.nvars - rank_z)
-    elif rank_z is None:
-        rank_z = memo[z_key] = kernel.rank(sys.cocycle_rows, sys.nvars - rank_b)
     dim = sys.nvars - rank_z - rank_b
     if dim < 0:
         raise ArithmeticError("memoized ranks exceed the %d variables"

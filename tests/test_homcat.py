@@ -1137,8 +1137,12 @@ def test_a_pivot_set_passes_down_the_chain_and_is_read_once():
         assert isinstance(memo[p], homcat._Pivots) and len(memo[p])
         if p:
             assert type(memo[p - 1]) is int and memo[p - 1] > 0
-            # a rank B with no pivot set takes the bounded cocycle-row rank
-            assert hom_dim(Y, dst, ({"B": memo[p - 1]}, "Z", "B")) == want
+            # a bare int B with Z unknown is not read, so a wrong one
+            # does no harm: B is echeloned afresh and its rank stored
+            bare = {"B": 0}
+            assert hom_dim(Y, dst, (bare, "Z", "B")) == want
+            assert bare["B"] == memo[p - 1]
+            assert isinstance(bare["Z"], homcat._Pivots)
     # a monomial past the reader's B is no variable of it
     big = homcat._Pivots(256, [(255 * 256 + 1) * 256])
     with pytest.raises(ArithmeticError, match="past this system's B"):
