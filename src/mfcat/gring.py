@@ -158,9 +158,6 @@ class GaussRat:
             return NotImplemented
         return other / self
 
-    def conj(self):
-        return _make(self.a, -self.b, self.d)
-
     def inv(self):
         return ONE / self
 
@@ -528,14 +525,6 @@ class WeightSystem:
         if gcd(gcd(a, b), c) != 1:
             raise PolyError("weights must be coprime")
         self.a, self.b, self.c, self.h = a, b, c, h
-
-    @property
-    def weights(self):
-        return (self.a, self.b, self.c)
-
-    def deg(self, name):
-        w = {"x": self.a, "y": self.b, "z": self.c}[name]
-        return Fraction(2 * w, self.h)
 
     def wdeg_int(self, exps):
         """Integer weighted degree of an exponent triple (deg f = h scale)."""

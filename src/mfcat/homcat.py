@@ -148,7 +148,7 @@ class _System:
     template, as the kernel never mutates an input row.  ``images`` holds
     d(e_v) in column order and ``cocycle_rows``, the equations E0 = 0 that
     :func:`kernel.nullspace` solves, their transpose, one row per column of
-    E0 that some image meets, in column order; both are built when read.
+    E0 that some image meets, in column order.
 
     Assembly runs on Python ints only: the blocks' coefficients are scaled
     by their common denominator L, which the kernel's content normalization
@@ -156,84 +156,86 @@ class _System:
     slots sit off the (1/h)Z lattice).  Templates live in an object's block
     memo, which every twist tau^n of it shares.
 
-    ``cocycles=False`` or ``boundaries=False`` leaves that row family empty,
-    for a caller that already knows its rank (see :func:`hom_dim`); the
-    variables are always enumerated, so ``nvars`` is always set.
+    The constructor enumerates only the variables (``nvars``); ``images``,
+    ``cocycle_rows`` and ``boundary_rows`` are each built on first read, so
+    a caller never pays for a row family it does not read (see
+    :func:`hom_dim`).
     """
 
-    def __init__(self, src, dst, cocycles=True, boundaries=True):
+    def __init__(self, src, dst):
         _expect(GradedMF, src, dst)
         _same_potential(src, dst)
         self.src, self.dst = src, dst
         W = src.W
-        a, b, c, h = W.a, W.b, W.c, W.h
         D = math.lcm(src.h_degrees()[0], dst.h_degrees()[0])
         ss, sbs = src.h_slots(D)
         sd, sbd = dst.h_slots(D)
         self._slots = (sd, ss), (sbd, sbs)
         self._step = step = 2 * D  # one unit of integer weighted degree
-        one = h * D  # normalized degree 1
-        rd, rs = dst.r, src.r
+        self._one = one = W.h * D  # normalized degree 1
         # no entry in play has a degree above the slot spread plus one; with
         # B at least 64, most systems share one B, and so their templates
         slots = (*ss, *sbs, *sd, *sbd)
         top = (max(slots) + one - min(slots)) // step if slots else 0
         self.B = B = max(64, 1 << top.bit_length())
-        E = B ** 3
-        table = _code_table(a, b, c, step, B)
-
-        def admissible(drow, dcol, shift=0):
-            """[(i, j, codes)] over the entries whose degree
-            (drow[i] - shift - dcol[j]) / step admits monomials, in (i, j)
-            order."""
-            out = []
-            for i, di in enumerate(drow):
-                di -= shift
-                for j, dj in enumerate(dcol):
-                    if dj <= di:
-                        codes = table[di - dj]
-                        if codes:
-                            out.append((i, j, codes))
-            return out
-
+        self._table = _code_table(W.a, W.b, W.c, step, B)
+        self._L = math.lcm(_denominator(src), _denominator(dst))
+        rd, rs, E = dst.r, src.r, B ** 3
         self._entries = [(blk, i, j, ((blk * rd + i) * rs + j) * E, codes)
                          for blk, (drow, dcol) in enumerate(self._slots)
-                         for i, j, codes in admissible(drow, dcol)]
+                         for i, j, codes in self._admissible(drow, dcol)]
         self.nvars = sum([len(e[4]) for e in self._entries])
-        self.boundary_rows = rows = []
-        self._templates = None
-        if not self.nvars or not (cocycles or boundaries):
-            return
-        L = math.lcm(_denominator(src), _denominator(dst))
-        dphi = _lines(dst, "phi", True, L, 1, rs, B)
-        if cocycles:
-            self._templates = dphi, _lines(src, "phi", False, L, -1, 1, B)
-        if not boundaries:
-            return
-        # Boundary generators: the image of every admissible homotopy
-        # monomial hA (dst-first x src-second) and hB (dst-second x
-        # src-first) under H -> (phi'*hB + hA*psi, psi'*hA + hB*phi); the
-        # block 0 template comes first, so the columns increase.
+
+    def _admissible(self, drow, dcol, shift=0):
+        """[(i, j, codes)] over the entries whose degree
+        (drow[i] - shift - dcol[j]) / step admits monomials, in (i, j)
+        order."""
+        out, table = [], self._table
+        for i, di in enumerate(drow):
+            di -= shift
+            for j, dj in enumerate(dcol):
+                if dj <= di:
+                    codes = table[di - dj]
+                    if codes:
+                        out.append((i, j, codes))
+        return out
+
+    @functools.cached_property
+    def boundary_rows(self):
+        """The image of every admissible homotopy monomial hA (dst-first x
+        src-second) and hB (dst-second x src-first) under H -> (phi'*hB +
+        hA*psi, psi'*hA + hB*phi); the block 0 template comes first, so the
+        columns increase."""
+        rows = []
+        if not self.nvars:
+            return rows
+        src, dst, L, B, one = self.src, self.dst, self._L, self.B, self._one
+        (sd, ss), (sbd, sbs) = self._slots
+        rd, rs, E = dst.r, src.r, B ** 3
         spsi = _lines(src, "psi", False, L, 1, 1, B)
         dpsi = _lines(dst, "psi", True, L, 1, rs, B)
         sphi = _lines(src, "phi", False, L, 1, 1, B)
+        dphi = _lines(dst, "phi", True, L, 1, rs, B)
         for (c0, r0, i0), (c1, r1, i1), o0, o1, codes in (
                 [(spsi[j], dpsi[i], i * rs * E, (rd * rs + j) * E, codes)
-                 for i, j, codes in admissible(sd, sbs, one)]
+                 for i, j, codes in self._admissible(sd, sbs, one)]
                 + [(dphi[i], sphi[j], j * E, (rd + i) * rs * E, codes)
-                   for i, j, codes in admissible(sbd, ss, one)]):
+                   for i, j, codes in self._admissible(sbd, ss, one)]):
             res, ims = r0 + r1, i0 + i1
             for cm in codes:
                 a0, a1 = o0 + cm, o1 + cm
                 rows.append(([t + a0 for t in c0] + [t + a1 for t in c1],
                              res, ims))
+        return rows
 
     def images_off(self, skip):
-        """d(e_v) for every variable v not in ``skip``, in column order; []
-        when no cocycles were assembled."""
-        if self._templates is None:
+        """d(e_v) for every variable v not in ``skip``, in column order."""
+        if not self.nvars:
             return []
-        (dphi, nsphi), E, rs = self._templates, self.B ** 3, self.src.r
+        L, B, rs = self._L, self.B, self.src.r
+        dphi = _lines(self.dst, "phi", True, L, 1, rs, B)
+        nsphi = _lines(self.src, "phi", False, L, -1, 1, B)
+        E = B ** 3
         out = []
         for blk, i, j, base, codes in self._entries:
             # dst.phi[k][i] * phi1[i][j] lands in E0[k][j] and
@@ -382,20 +384,6 @@ def hom_space(src, dst):
     return HomSpace(src, dst, dim, basis, sys, solve_columns)
 
 
-def _free_images(sys):
-    """(rank B, the images of the variables off the pivots of B's echelon).
-
-    B lies in the kernel of the cocycle map d^0, and for each pivot p its
-    span holds a vector that is 1 at p and 0 at every other pivot, so the
-    image of p is a combination of the images of the non-pivot variables.
-    Those nvars - rank B images therefore span the image of d^0, and
-    exactly dim Hom of them are dependent.  The argument holds for any
-    information set of span(B) in place of the pivots (see :func:`hom_dim`).
-    """
-    ech = kernel.echelon(sys.boundary_rows)
-    return ech.rank, sys.images_off(ech.pivots)
-
-
 class _Pivots:
     """A differential's rank as the pivot columns ``cols`` (E0 columns of a
     system whose B is ``B``) of an echelon of its images; see :func:`hom_dim`.
@@ -415,17 +403,6 @@ class _Pivots:
         return len(self.cols)
 
 
-def _memo_rank(value):
-    """The rank a rank-memo value records: None (unknown), an int, or the
-    length of a :class:`_Pivots`; PolyError for any other value."""
-    if value is None or type(value) is int:
-        return value
-    if isinstance(value, _Pivots):
-        return len(value)
-    raise PolyError("a rank memo value must be an int or a pivot set, got %r"
-                    % (value,))
-
-
 def hom_dim(src, dst, ranks=None):
     """dim Hom(src, dst) = nvars - rank Z - rank B, from exact ranks over Q(i).
 
@@ -433,33 +410,39 @@ def hom_dim(src, dst, ranks=None):
     image of the cocycle map and B the span of the boundary rows, which lies
     in its kernel, so rank Z + rank B <= nvars.
 
-    - Neither rank known: B is echeloned once and rank Z is the rank of the
-      images of the variables off its pivots (see :func:`_free_images`).
-    - Rank B known as a :class:`_Pivots`: B is the cocycle map of the system
-      before this one on the chain (see :func:`_class_dim`), and its pivots
-      are E0 entries (i, k) at monomials m.  Such an entry of that system's
-      images is, up to sign, the block-1 entry (i, k, m) of a boundary row
-      here, and E0 = 0 forces E1 = 0 (see :class:`_System`), so span(B)
-      projects injectively onto block 1, and the pivots, mapped to the
-      variables (1, i, k, m) by :meth:`_System.pivot_variables`, are an
-      information set of span(B).  Rank Z is then ranked from the nvars -
-      rank B images off them, and no boundary row is assembled.
-    - Rank B known as an int and rank Z not: the int is not read, as the
-      images skip only the variables of a pivot set; B is echeloned as if
-      unknown.
-    - Rank Z known and rank B not: the boundary rows are ranked only until
-      their rank reaches nvars - rank Z, which is exact and cuts the
-      elimination short whenever the dimension is 0.
-
     ``ranks`` is ``(memo, z_key, b_key)``, a dict and the keys of the two
     differentials of the Hom complex whose ranks are rank Z and rank B (see
-    :func:`_class_dim`).  A memo value is an int in [0, nvars] or a
-    :class:`_Pivots`, else PolyError.  A rank found in the memo is not
-    computed again, and a rank computed is stored, rank Z as a
-    :class:`_Pivots` whenever it was ranked from images.  A pivot set read
-    as rank B is replaced by its length: no other system reads it.
-    ArithmeticError if the pivots leave other than nvars - rank B images or
-    the dimension comes out negative.
+    :func:`_class_dim`).  Each differential belongs to two systems, and
+    whichever runs first leaves its rank under the differential's key as a
+    read-once message, which the other pops: a :class:`_Pivots` under
+    z_key, for the next system to read as its rank B, or an int under
+    b_key, for the system before to read as its rank Z.  Both keys are
+    popped, and the message found picks one of three paths:
+
+    - No message: B is echeloned once, and rank Z is the rank of the
+      images of the variables off its pivots.  B lies in the kernel of the
+      cocycle map, and for each pivot p its span holds a vector that is 1
+      at p and 0 at every other pivot, so the image of p is a combination
+      of the images of the variables off the pivots.  Those nvars - rank B
+      images therefore span Z, and exactly dim Hom of them are dependent.
+      The argument holds for any information set of span(B) in place of
+      the pivots.  Both messages are left.
+    - A pivot set under b_key: B is the cocycle map of the system before
+      this one on the chain, and its pivots are E0 entries (i, k) at
+      monomials m.  Such an entry of that system's images is, up to sign,
+      the block-1 entry (i, k, m) of a boundary row here, and E0 = 0 forces
+      E1 = 0 (see :class:`_System`), so span(B) projects injectively onto
+      block 1, and the pivots, mapped to the variables (1, i, k, m) by
+      :meth:`_System.pivot_variables`, are an information set of span(B).
+      Rank Z is then ranked from the nvars - rank B images off them, and no
+      boundary row is assembled.  The pivot set of Z is left.
+    - An int under z_key, whatever b_key held: the boundary rows are
+      ranked only until their rank reaches nvars - rank Z, which is exact
+      and cuts the elimination short whenever the dimension is 0.  Rank B
+      is left.
+
+    PolyError for any other message, or a rank Z outside [0, nvars].
+    ArithmeticError if the pivots leave other than nvars - rank B images.
     """
     if ranks is None:
         ranks = {}, "Z", "B"
@@ -467,42 +450,37 @@ def hom_dim(src, dst, ranks=None):
         if not (isinstance(ranks, tuple) and isinstance(ranks[0], dict)):
             raise TypeError
         memo, z_key, b_key = ranks
-        z_val, b_val = memo.get(z_key), memo.get(b_key)
+        hash((z_key, b_key))  # pop on an empty dict hashes no key
     except (TypeError, ValueError, IndexError):
         raise PolyError("ranks must be a (dict, key, key) triple, got %r"
                         % (ranks,)) from None
-    rank_z, rank_b = _memo_rank(z_val), _memo_rank(b_val)
-    pivots = b_val if isinstance(b_val, _Pivots) else None
-    sys = _System(src, dst, rank_z is None,
-                  pivots is None and None in (rank_z, rank_b))
-    for r in (rank_z, rank_b):
-        if r is not None and not 0 <= r <= sys.nvars:
-            raise PolyError("memoized rank %d outside [0, %d]" % (r, sys.nvars))
-    if pivots is not None:
-        memo[b_key] = rank_b
-    elif rank_z is None:
-        rank_b = None  # the images skip only the variables of a pivot set
+    sys = _System(src, dst)
+    rank_z, pivots = memo.pop(z_key, None), memo.pop(b_key, None)
+    if not (rank_z is None
+            or type(rank_z) is int and 0 <= rank_z <= sys.nvars):
+        raise PolyError("a rank Z message must be an int in [0, %d], got %r"
+                        % (sys.nvars, rank_z))
+    if not (pivots is None or isinstance(pivots, _Pivots)):
+        raise PolyError("a rank B message must be a pivot set, got %r"
+                        % (pivots,))
     if not sys.nvars:
         return 0
-    if rank_z is None:
-        if pivots is None:
-            rank_b, images = _free_images(sys)
-            memo[b_key] = rank_b
-        else:
-            images = sys.images_off(sys.pivot_variables(pivots))
-        if len(images) != sys.nvars - rank_b:
-            raise ArithmeticError("the pivots of B are not %d variables"
-                                  % rank_b)
-        ech = kernel.echelon(images)
-        rank_z = ech.rank
-        memo[z_key] = _Pivots(sys.B, ech.pivots)
-    elif rank_b is None:
-        rank_b = memo[b_key] = kernel.rank(sys.boundary_rows, sys.nvars - rank_z)
-    dim = sys.nvars - rank_z - rank_b
-    if dim < 0:
-        raise ArithmeticError("memoized ranks exceed the %d variables"
-                              % sys.nvars)
-    return dim
+    if rank_z is not None:
+        rank_b = memo[b_key] = kernel.rank(sys.boundary_rows,
+                                           sys.nvars - rank_z)
+        return sys.nvars - rank_z - rank_b
+    if pivots is None:
+        ech = kernel.echelon(sys.boundary_rows)
+        rank_b, skip = ech.rank, ech.pivots
+        memo[b_key] = rank_b
+    else:
+        rank_b, skip = len(pivots), sys.pivot_variables(pivots)
+    images = sys.images_off(skip)
+    if len(images) != sys.nvars - rank_b:
+        raise ArithmeticError("the pivots of B are not %d variables" % rank_b)
+    ech = kernel.echelon(images)
+    memo[z_key] = _Pivots(sys.B, ech.pivots)
+    return len(images) - ech.rank
 
 
 # ---------------------------------------------------------------------------
@@ -817,11 +795,11 @@ def _retraction(cat, g, k, n):
     """
     M = cat.object(k, n)
     projs = [vec for _, vec in _constant_coords(
-        _System(g, M, boundaries=False), [(0, 0, j) for j in range(g.r)])
+        _System(g, M), [(0, 0, j) for j in range(g.r)])
         if vec]
     if not projs:
         return None
-    into = _System(M, g, boundaries=False)
+    into = _System(M, g)
     for row, col in _constant_coords(into, [(0, i, 0) for i in range(g.r)]):
         if col and any(_pair_nonzero(col, vec) for vec in projs):
             return into.morphism_from_row(row)
@@ -888,12 +866,10 @@ def _class_dim(cat, k, kprime, n_prime):
     both the cocycle map of Hom(-, X_m) and the boundary map of
     Hom(-, T X_m), and d^1_m out of C^0(-, T X_m) is both the cocycle map
     of Hom(-, T X_m) and the boundary map of Hom(-, X_{m+h}), as
-    T^2 X_m = X_{m+h} by value.  The memo holds rank d^p_m under
-    ``("rank_d", k, k', p, m)``, filled here and by :func:`_serre_rhs_dim`:
-    the pivot set of the echelon of its images (a :class:`_Pivots`) from
-    the system that ranked it as its cocycle map, until the system that
-    reads it as its boundary map, the next on the chain, replaces it by
-    its rank (see :func:`hom_dim`).
+    T^2 X_m = X_{m+h} by value.  Of the two systems of d^p_m, here and in
+    :func:`_serre_rhs_dim`, the first to run leaves its rank under
+    ``("rank_d", k, k', p, m)`` and the second pops it (see
+    :func:`hom_dim`).
     """
     return hom_dim(cat.object(k, 0), cat.object(kprime, n_prime),
                    (cat.memo, ("rank_d", k, kprime, 0, n_prime),

@@ -20,7 +20,6 @@ __all__ = [
     "PathAlgebraSummary",
     "principal_orientation",
     "random_orientation",
-    "reversed_quiver",
     "path_hom_dims",
     "positive_roots",
     "positive_root_count",
@@ -98,12 +97,6 @@ def random_orientation(type_str, b=None, seed=0):
     for u, v in dia.edges:
         orientation[(u, v)] = (u, v) if rng.random() < 0.5 else (v, u)
     return DynkinQuiver(dia, orientation)
-
-
-def reversed_quiver(q):
-    _expect(DynkinQuiver, q)
-    orientation = {e: (h, t) for e, (t, h) in q.orientation.items()}
-    return DynkinQuiver(q.diagram, orientation)
 
 
 def path_hom_dims(q):

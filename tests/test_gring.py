@@ -47,10 +47,9 @@ def test_gaussrat_is_a_commutative_ring(a, b, c):
 
 @given(gauss)
 def test_gaussrat_inverse_and_conjugate(a):
-    assert a.conj().conj() == a
     if a:
         assert a * a.inv() == GaussRat(1)
-        assert (a * a.conj()).im == 0
+        assert (a * GaussRat(a.re, -a.im)).im == 0
 
 
 mixed_fracs = st.one_of(
@@ -84,7 +83,6 @@ def test_gaussrat_matches_a_fraction_pair_reference(x, y):
     assert _parts(gx - gy) == (x[0] - y[0], x[1] - y[1])
     assert _parts(gx * gy) == _ref_mul(x, y)
     assert _parts(-gx) == (-x[0], -x[1])
-    assert _parts(gx.conj()) == (x[0], -x[1])
     if y != (0, 0):
         assert _parts(gx / gy) == _ref_div(x, y)
         assert _parts(gy.inv()) == _ref_div((Fraction(1), Fraction(0)), y)
@@ -106,7 +104,7 @@ def test_gaussrat_matches_a_fraction_pair_reference(x, y):
 @given(pairs)
 def test_gaussrat_triple_is_in_lowest_terms(x):
     g = GaussRat(*x)
-    for z in (g, g + g, g * g, -g, g.conj()):
+    for z in (g, g + g, g * g, -g):
         assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
         assert (Fraction(z.a, z.d), Fraction(z.b, z.d)) == _parts(z)
 
@@ -224,10 +222,10 @@ def test_polynomials_are_weighted_homogeneous_of_degree_two():
                  ("E7", None), ("E8", None)):
         f, W = ade_polynomial(t, b)
         assert W.normalize(integer_degree(f, W)) == 2
-        for name in ("x", "y", "z"):
+        for name, w in zip("xyz", (W.a, W.b, W.c)):
             d = f.diff(name)
             if d:
-                assert W.normalize(integer_degree(d, W)) == 2 - W.deg(name)
+                assert W.normalize(integer_degree(d, W)) == 2 - W.normalize(w)
 
 
 def test_monomial_basis_matches_brute_force():
@@ -251,4 +249,5 @@ def test_the_jacobi_ring_of_each_weight_system_has_dimension_l():
     for t, b in (("A1", 1), ("A6", 2), ("A6", 5), ("D4", None), ("D8", None),
                  ("E6", None), ("E7", None), ("E8", None)):
         W = ade_weight_system(t, b)
-        assert sum(oracles.jacobi_poincare(*W.weights, W.h)) == parse_type(t)[1]
+        poincare = oracles.jacobi_poincare(W.a, W.b, W.c, W.h)
+        assert sum(poincare) == parse_type(t)[1]

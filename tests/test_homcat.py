@@ -214,14 +214,15 @@ def test_objects_of_another_potential_are_rejected_with_polyerror():
     for ranks in (5, 0, "abc", [{}, 1, 2], ({}, 1), ([], 1, 2), ({}, [], 1)):
         with pytest.raises(PolyError):
             hom_dim(X, X, ranks)
-    # a memoized rank is an int in [0, nvars] (nvars is 9 here) or a pivot
-    # set, and the ranks must leave a dimension of at least 0
-    for memo in ({"Z": "x"}, {"B": 2.5}, {"Z": -7}, {"B": 10}, {"Z": True},
-                 {"B": (1, 2)}, {"Z": None, "B": [3]}):
+    # a rank Z message is an int in [0, nvars] (nvars is 9 here) and a rank
+    # B message a pivot set; a pivot set longer than nvars leaves no images
+    for memo in ({"Z": "x"}, {"B": 2.5}, {"Z": -7}, {"Z": 10}, {"B": 10},
+                 {"Z": True}, {"B": (1, 2)}, {"Z": None, "B": [3]},
+                 {"Z": 5, "B": 5}, {"Z": homcat._Pivots(64, [0])}):
         with pytest.raises(PolyError):
             hom_dim(X, X, (memo, "Z", "B"))
-    with pytest.raises(ArithmeticError, match="exceed"):
-        hom_dim(X, X, ({"Z": 5, "B": 5}, "Z", "B"))
+    with pytest.raises(ArithmeticError, match="pivots of B"):
+        hom_dim(X, X, ({"B": homcat._Pivots(64, range(10))}, "Z", "B"))
     with pytest.raises(PolyError, match="different potentials"):
         decompose(cat, get_catalog("D4").object(1, 0))
 
@@ -1004,9 +1005,8 @@ def test_cocycle_rows_equal_the_keyed_assembly():
     for src, dst in _cocycle_pairs():
         sys = _assert_keyed_layout(src, dst)
         filled += bool(sys.cocycle_rows)
-        bare = homcat._System(src, dst, cocycles=False)
-        assert bare.images == bare.cocycle_rows == []
-        assert bare.boundary_rows == sys.boundary_rows
+        # the cocycle side builds no boundary row
+        assert "boundary_rows" not in vars(sys)
     assert filled >= 100
 
 
@@ -1037,8 +1037,9 @@ def test_pruned_images_leave_exactly_the_hom_dimension(t, b):
                     continue
                 src, dst = cat.object(k, 0), cat.object(kp, n)
                 sys = homcat._System(src, dst)
-                rank_b, images = homcat._free_images(sys)
-                assert len(images) == sys.nvars - rank_b
+                ech = kernel.echelon(sys.boundary_rows)
+                images = sys.images_off(ech.pivots)
+                assert len(images) == sys.nvars - ech.rank
                 dim = len(images) - kernel.rank(images)
                 assert dim == hom_dim(src, dst) == hom_space(src, dst).dim
                 total += dim
@@ -1125,24 +1126,26 @@ def test_the_first_block_one_columns_are_no_information_set():
 
 
 def test_a_pivot_set_passes_down_the_chain_and_is_read_once():
-    # Hom(Y, X), Hom(Y, T X) and Hom(Y, T^2 X) on one memo: each stores
-    # its cocycle map's pivots, and the next replaces them by their rank
+    # Hom(Y, X), Hom(Y, T X) and Hom(Y, T^2 X) on one memo: each leaves
+    # its cocycle map's pivots, and the next pops them
     cat = get_catalog("D5")
     Y, X = cat.object(1, 0), cat.object(4, 2)
     objects = [X, shift_T(X), shift_T(shift_T(X))]
-    memo = {}
+    want = [oracles.hom_dim_reference(Y, dst) for dst in objects]
+    memo, ranks = {}, []
     for p, dst in enumerate(objects):
-        want = oracles.hom_dim_reference(Y, dst)
-        assert hom_dim(Y, dst, (memo, p, p - 1)) == want
+        assert hom_dim(Y, dst, (memo, p, p - 1)) == want[p]
         assert isinstance(memo[p], homcat._Pivots) and len(memo[p])
-        if p:
-            assert type(memo[p - 1]) is int and memo[p - 1] > 0
-            # a bare int B with Z unknown is not read, so a wrong one
-            # does no harm: B is echeloned afresh and its rank stored
-            bare = {"B": 0}
-            assert hom_dim(Y, dst, (bare, "Z", "B")) == want
-            assert bare["B"] == memo[p - 1]
-            assert isinstance(bare["Z"], homcat._Pivots)
+        ranks.append(len(memo[p]))
+        # only the first found no pivot set and left its rank B
+        assert sorted(memo) == [-1, p] and type(memo[-1]) is int
+    # backwards, each pops the int rank Z the one after it left and leaves
+    # its rank B, bounded after the first, and exact all the same
+    back = {}
+    for p in (2, 1, 0):
+        assert hom_dim(Y, objects[p], (back, p, p - 1)) == want[p]
+        assert back[p - 1] == (ranks[p - 1] if p else memo[-1])
+    assert sorted(back) == [-1, 2]
     # a monomial past the reader's B is no variable of it
     big = homcat._Pivots(256, [(255 * 256 + 1) * 256])
     with pytest.raises(ArithmeticError, match="past this system's B"):
@@ -1186,11 +1189,37 @@ def test_a_serre_sweep_reads_every_known_b_through_its_pivots(monkeypatch):
     monkeypatch.setattr(homcat._System, "pivot_variables", counted)
     cat = Catalog("E6")
     assert serre_duality_report(cat) == []
-    assert read and all(s.rows == (True, False) for s, _ in read)
+    assert read and all("boundary_rows" not in vars(s) for s, _ in read)
     assert [s for s in built if "cocycle_rows" in vars(s)] == []
-    # every pivot set read has left the memo, replaced by its rank
+    # every pivot set read has left the memo
     kept = {id(v) for v in cat.memo.values()}
     assert not [p for _, p in read if id(p) in kept]
+
+
+def test_each_rank_message_is_read_once(monkeypatch):
+    # memo census on a fresh catalog: every chain call finds no message, a
+    # pivot set under b_key or an int under z_key, and no message read is
+    # left behind
+    real = homcat.hom_dim
+    states, read = Counter(), set()
+
+    def census(src, dst, ranks):
+        memo, z_key, b_key = ranks
+        z, b = memo.get(z_key), memo.get(b_key)
+        states[type(z).__name__, type(b).__name__] += 1
+        read.update(key for key, v in ((z_key, z), (b_key, b))
+                    if v is not None)
+        return real(src, dst, ranks)
+
+    monkeypatch.setattr(homcat, "hom_dim", census)
+    cat = Catalog("E6")
+    assert serre_duality_report(cat) == []
+    for k in cat.diagram.vertices:
+        for kp in cat.diagram.vertices:
+            assert hom_multiset(cat, k, kp) == golden_multiset("E6", k, kp)
+    assert set(states) == {("NoneType", "NoneType"), ("NoneType", "_Pivots"),
+                           ("int", "NoneType")}
+    assert read and not read & set(cat.memo)
 
 
 @pytest.mark.parametrize("image", ["untransposed blocks", "half a twist"])
@@ -1241,7 +1270,7 @@ def test_retraction_pairs_witnesses_without_end_spaces(monkeypatch):
     assert calls["compose"] == solves == []
     # the pairings come from cocycle-only Hom systems, never End(M)
     assert built
-    assert all(sys.rows == (True, False) and sys.src != sys.dst
+    assert all("boundary_rows" not in vars(sys) and sys.src != sys.dst
                for sys in built)
 
 
@@ -1290,7 +1319,7 @@ def test_retraction_reads_kernel_rows_without_witness_bases(monkeypatch):
                     del log[:]
                 incl = homcat._retraction(cat, g, k, n)
                 assert calls["hom_space"] == selects == []
-                assert all(sys.rows == (True, False) and not sys.boundary_rows
+                assert all("boundary_rows" not in vars(sys)
                            for sys in built)
                 assert len(morphisms) == (incl is not None)
                 assert len(built) == (2 if constants else 1)
