@@ -423,6 +423,8 @@ class Catalog:
         self.b = b
         self.type_str = "%s%d" % (letter, l)
         self.f, self.W = ade_polynomial(self.type_str, b)
+        # the display name, "A4 b=2" or "E6"; ade_polynomial has checked b
+        self.name = self.type_str if b is None else "%s b=%d" % (self.type_str, b)
         self.h = self.W.h
         self.diagram = DynkinDiagram(letter, l, b)
         self._objects = {}  # (k, n) -> M(k, n); twists share M(k, 0)'s blocks
@@ -460,9 +462,7 @@ class Catalog:
             raise PolyError("vertex %r out of range 1..%d" % (k, self.l))
 
     def _label(self, k, n):
-        if self.letter == "A":
-            return "%s b=%d k=%d n=%d" % (self.type_str, self.b, k, n)
-        return "%s k=%d n=%d" % (self.type_str, k, n)
+        return "%s k=%d n=%d" % (self.name, k, n)
 
     def _build_base(self, k):
         """The verified object at n = 0, its grading solved from the blocks.

@@ -90,10 +90,27 @@ def _tokens(ms):
     return " ".join("%d^%d" % (c, m) if m > 1 else "%d" % c for c, m in ms)
 
 
-def _type_id(cat):
-    if cat.letter == "A":
-        return "%s b=%d" % (cat.type_str, cat.b)
-    return cat.type_str
+def _report(name, violations, ok_detail=""):
+    """Print ``ok   name`` (with ok_detail), or ``FAIL name`` and each
+    violation indented below it; return True iff there are violations."""
+    if not violations:
+        click.echo("ok   %s%s" % (name, ok_detail))
+        return False
+    click.echo("FAIL %s" % name)
+    for v in violations:
+        click.echo("  %s" % v)
+    return True
+
+
+def _exit_report(violations, ok_line):
+    """Print one ``FAIL v`` line per violation and exit 1, or print ok_line
+    and exit 0."""
+    for v in violations:
+        click.echo("FAIL %s" % v)
+    if violations:
+        sys.exit(1)
+    click.echo(ok_line)
+    sys.exit(0)
 
 
 def _grid_cells(cat):
@@ -187,16 +204,10 @@ def _verify_suite(cat):
 def verify(type_str, b):
     """Run the full invariant suite for one type."""
     cat = _load_catalog(type_str, b)
-    click.echo("verify %s (h=%d)" % (_type_id(cat), cat.h))
+    click.echo("verify %s (h=%d)" % (cat.name, cat.h))
     failed = False
     for name, violations in _verify_suite(cat):
-        if violations:
-            failed = True
-            click.echo("FAIL %s" % name)
-            for v in violations:
-                click.echo("  %s" % v)
-        else:
-            click.echo("ok   %s" % name)
+        failed |= _report(name, violations)
     sys.exit(1 if failed else 0)
 
 
@@ -270,7 +281,7 @@ def table3(type_str, b, fmt):
         widths = [max([len("%d" % kp)] + [len(grid[(k, kp)]) for k in range(1, l + 1)])
                   for kp in range(1, l + 1)]
         head = ["k\\k'"] + ["%d" % kp for kp in range(1, l + 1)]
-        lines = ["%s  h=%d" % (_type_id(cat), cat.h)]
+        lines = ["%s  h=%d" % (cat.name, cat.h)]
         lines.append("  ".join([head[0].ljust(4)]
                                + [head[j + 1].ljust(widths[j]) for j in range(l)]))
         for k in range(1, l + 1):
@@ -300,15 +311,8 @@ def ar(type_str, b, k_only):
     vertices = [k_only] if k_only is not None else list(cat.diagram.vertices)
     failed = False
     for k in vertices:
-        violations = ar_triangle_check(cat, k)
-        if violations:
-            failed = True
-            click.echo("FAIL k=%d" % k)
-            for v in violations:
-                click.echo("  %s" % v)
-        else:
-            click.echo("ok   k=%d  neighbors=%d"
-                       % (k, len(cat.diagram.neighbors(k))))
+        failed |= _report("k=%d" % k, ar_triangle_check(cat, k),
+                          "  neighbors=%d" % len(cat.diagram.neighbors(k)))
     sys.exit(1 if failed else 0)
 
 
@@ -336,13 +340,8 @@ def stability(type_str, b, window, run_check, trials, seed):
         click.echo("%d\t%d\t%s\t%r\t%r" % (k, n, ph, cc.mass_float(), cc.value))
     if not run_check:
         sys.exit(0)
-    violations = check_stability_axioms(type_str, b, trials=trials, seed=seed)
-    if violations:
-        for v in violations:
-            click.echo("FAIL %s" % v)
-        sys.exit(1)
-    click.echo("stability axioms (1)-(4): ok (%d random sums)" % trials)
-    sys.exit(0)
+    _exit_report(check_stability_axioms(type_str, b, trials=trials, seed=seed),
+                 "stability axioms (1)-(4): ok (%d random sums)" % trials)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def quiver(type_str, b, orientation, seed, show_paths, run_check):
     else:
         q = random_orientation(cat.type_str, cat.b, seed=seed)
     summary = path_hom_dims(q)
-    click.echo("%s  h=%d  orientation=%s" % (_type_id(cat), cat.h, orientation))
+    click.echo("%s  h=%d  orientation=%s" % (cat.name, cat.h, orientation))
     click.echo("arrows: " + " ".join("%d->%d" % a for a in q.arrows))
     click.echo("positive roots: %d  (l*h/2 = %d)"
                % (positive_root_count(cat.type_str), cat.l * cat.h // 2))
@@ -381,14 +380,9 @@ def quiver(type_str, b, orientation, seed, show_paths, run_check):
     if not run_check:
         sys.exit(0)
     violations = strong_exceptionality_check(cat.type_str, cat.b, q)
-    if violations:
-        for v in violations:
-            click.echo("FAIL %s" % v)
-        sys.exit(1)
     _, objects = exceptional_collection(cat.type_str, cat.b, q)
-    click.echo("exceptional collection: ok  objects="
-               + " ".join("(%d,%d)" % kn for kn in objects))
-    sys.exit(0)
+    _exit_report(violations, "exceptional collection: ok  objects="
+                 + " ".join("(%d,%d)" % kn for kn in objects))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +432,7 @@ def catalog_cmd(type_str, b, fmt, out):
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2), out)
         return
-    lines = ["%s  h=%d  f=%s" % (_type_id(cat), cat.h, mf_to_json(cat.object(1, 0))["f"])]
+    lines = ["%s  h=%d  f=%s" % (cat.name, cat.h, mf_to_json(cat.object(1, 0))["f"])]
     for k in cat.diagram.vertices:
         g = cat.object(k, 0)
         lines.append("k=%d  size=%d  nu=%d  sigma=%d  phase=%s"

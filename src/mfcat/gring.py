@@ -236,9 +236,6 @@ class Poly:
         i = _var_index(name)
         return Poly.monomial([int(j == i) for j in range(3)])
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

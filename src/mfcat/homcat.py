@@ -25,6 +25,7 @@ from .mf import (
     Morphism,
     _block_components,
     _expect,
+    _poly_block,
     cone,
     mat_identity,
     mat_is_zero,
@@ -533,8 +534,13 @@ def boundary_of(src, dst, hA, hB):
 
     hA maps src second-half slots to dst first-half slots, hB the other
     diagonal; the boundary is (dst.phi*hB + hA*src.psi,
-    dst.psi*hA + hB*src.phi).
+    dst.psi*hA + hB*src.phi).  Both are r_dst x r_src matrices of Poly.
     """
+    _expect(GradedMF, src, dst)
+    hA, hB = _poly_block(hA), _poly_block(hB)
+    if any(len(h) != dst.r or any(len(row) != src.r for row in h)
+           for h in (hA, hB)):
+        raise PolyError("homotopies must be r_dst x r_src")
     return Morphism(src, dst,
                     _mat_add(mat_mul(dst.phi, hB), mat_mul(hA, src.psi)),
                     _mat_add(mat_mul(dst.psi, hA), mat_mul(hB, src.phi)))

@@ -277,12 +277,11 @@ def select_independent(base_rows, cand_rows):
     """``(chosen, rank)``: the indices of ``cand_rows`` that are independent
     modulo span(base_rows), and the rank of ``base_rows``.
 
-    Candidates are offered in order, each tested against the span of the base
-    rows plus the previously accepted candidates.
+    The base rows go through :func:`echelon`.  Candidates are offered in
+    order, each tested against the span of the base rows plus the previously
+    accepted candidates.
     """
-    ech = Echelon()
-    for row in base_rows:
-        ech.insert(row)
+    ech = echelon(base_rows)
     rank_base = ech.rank
     chosen = [idx for idx, row in enumerate(cand_rows) if ech.insert(row)]
     return chosen, rank_base

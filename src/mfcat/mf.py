@@ -42,14 +42,11 @@ from mfcat.gring import (
 # ---------------------------------------------------------------------------
 
 
-def mat_freeze(rows):
-    return tuple(tuple(row) for row in rows)
-
-
 def _poly_block(rows):
-    """mat_freeze(rows); PolyError unless it is a matrix of Poly entries."""
+    """The rows as a tuple of tuples; PolyError unless they hold Poly
+    entries."""
     try:
-        m = mat_freeze(rows)
+        m = tuple(tuple(row) for row in rows)
     except TypeError as exc:
         raise PolyError("malformed block: %s" % exc) from None
     for row in m:
@@ -334,9 +331,6 @@ class Morphism:
             raise PolyError("phi0 must be r_dst x r_src")
         if len(self.phi1) != dst.r or (dst.r and len(self.phi1[0]) != src.r):
             raise PolyError("phi1 must be r_dst x r_src")
-
-    def is_zero(self):
-        return mat_is_zero(self.phi0) and mat_is_zero(self.phi1)
 
     def __repr__(self):
         return "Morphism(%r -> %r)" % (self.src, self.dst)

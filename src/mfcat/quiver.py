@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 
-from .catalog import DynkinDiagram, principal_decomposition
-from .gring import PolyError, parse_type
+from .catalog import DynkinDiagram, get_catalog, principal_decomposition
+from .gring import PolyError
 from .mf import _expect
 
 __all__ = [
@@ -70,14 +70,9 @@ class PathAlgebraSummary:
         self.hom_dims = hom_dims
 
 
-def _diagram(type_str, b=None):
-    letter, l = parse_type(type_str)
-    return DynkinDiagram(letter, l, b)
-
-
 def principal_orientation(type_str, b=None):
     """Every arrow runs from an odd-distance vertex into an even one."""
-    dia = _diagram(type_str, b)
+    dia = get_catalog(type_str, b).diagram
     _, pi1, _ = principal_decomposition(type_str, b)
     odd = set(pi1)
     orientation = {}
@@ -91,7 +86,7 @@ def random_orientation(type_str, b=None, seed=0):
     """Uniformly random direction per edge, reproducible from the int seed."""
     if not isinstance(seed, int):
         raise PolyError("seed must be an int, got %r" % (seed,))
-    dia = _diagram(type_str, b)
+    dia = get_catalog(type_str, b).diagram
     rng = random.Random(seed)
     orientation = {}
     for u, v in dia.edges:
@@ -146,7 +141,7 @@ def positive_roots(type_str):
     simple reflections s_i(beta) = beta - <beta, alpha_i> alpha_i; the
     positive roots are the members with all coefficients >= 0.
     """
-    dia = _diagram(type_str)
+    dia = get_catalog(type_str).diagram
     l = dia.l
     C = _cartan(dia)
     simple = [tuple(int(i == j) for j in range(l)) for i in range(l)]

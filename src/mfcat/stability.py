@@ -406,13 +406,11 @@ def strong_exceptionality_check(type_str, b, quiver):
     bad = []
 
     def t_power(k, n, m):
-        while m > 0:
-            kT, n0 = t_image(cat, k)
-            k, n, m = kT, n + n0, m - 1
-        while m < 0:
-            kT, _ = t_image(cat, k)
-            _, n0 = t_image(cat, kT)
-            k, n, m = kT, n - n0, m + 1
+        # T^m = T^(m % 2) tau^((m // 2) h), as T^2 = tau^h
+        n += (m // 2) * cat.h
+        if m % 2:
+            k, nT = t_image(cat, k)
+            n += nT
         return k, n
 
     for k, n in ordered:

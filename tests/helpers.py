@@ -1,5 +1,6 @@
 """Shared scope lists, small utilities, engine call counters, object
-relabelings and a disguised-sum generator for the test suite."""
+relabelings, and disguised-sum and random-cone generators for the test
+suite."""
 
 from __future__ import annotations
 
@@ -13,10 +14,12 @@ from mfcat.mf import (
     Morphism,
     _expect,
     _restrict,
+    cone,
     direct_sum,
     mat_identity,
     mat_mul,
     mat_neg,
+    mat_zero,
 )
 
 # Every catalog the package ships: (type_str, b) with b meaningful only
@@ -135,3 +138,27 @@ def disguised_sum(parts, seed):
     B, B_inv = _unipotent(g.W, g.sbar_row, rng)
     return GradedMF(g.f, g.W, mat_mul(mat_mul(A, g.phi), B_inv),
                     mat_mul(mat_mul(B, g.psi), A_inv), g.S)
+
+
+def random_cone(cat, seed):
+    """The cone of a seeded random morphism f: X -> Y of ``cat``.
+
+    X and Y are each the sum of one or two objects (repeats allowed) whose
+    phase lies in the (0, 2] window.  f is the sum of the
+    ``hom_space(X, Y).basis`` maps, each scaled by a small nonzero integer,
+    and the zero map when that space is zero.
+    """
+    rng = random.Random(seed)
+    window = cat.objects_in_window(0, 2)
+
+    def pick():
+        parts = [cat.object(k, n)
+                 for _, k, n in rng.choices(window, k=rng.randint(1, 2))]
+        return functools.reduce(direct_sum, parts)
+
+    X, Y = pick(), pick()
+    f = Morphism(X, Y, mat_zero(Y.r, X.r), mat_zero(Y.r, X.r))
+    for b in homcat.hom_space(X, Y).basis:
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        f = homcat.morphism_add(f, homcat.morphism_scale(c, b))
+    return cone(f)

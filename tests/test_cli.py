@@ -170,6 +170,60 @@ def test_quiver_paths_and_check():
     assert "exceptional collection: ok" in res.output
 
 
+def test_verify_prints_each_failing_section_with_its_violations(monkeypatch):
+    monkeypatch.setattr(climod, "_verify_suite",
+                        lambda cat: iter([("clean", []),
+                                          ("planted", ["one", "two"])]))
+    res = _run("verify", "--type", "A4", "--b", "2")
+    assert res.exit_code == 1
+    assert res.output == ("verify A4 b=2 (h=5)\n"
+                          "ok   clean\n"
+                          "FAIL planted\n"
+                          "  one\n"
+                          "  two\n")
+
+
+def test_ar_prints_each_failing_vertex_with_its_violations(monkeypatch):
+    planted = {2: ["planted one at k=2", "planted two at k=2"]}
+    monkeypatch.setattr(climod, "ar_triangle_check",
+                        lambda cat, k: planted.get(k, []))
+    res = _run("ar", "--type", "D5")
+    assert res.exit_code == 1
+    assert res.output == ("ok   k=1  neighbors=1\n"
+                          "FAIL k=2\n"
+                          "  planted one at k=2\n"
+                          "  planted two at k=2\n"
+                          "ok   k=3  neighbors=3\n"
+                          "ok   k=4  neighbors=1\n"
+                          "ok   k=5  neighbors=1\n")
+
+
+def test_stability_check_prints_one_fail_line_per_violation(monkeypatch):
+    table = _run("stability", "--type", "A3").output
+    monkeypatch.setattr(climod, "check_stability_axioms",
+                        lambda *args, **kwargs: ["axiom (2): planted",
+                                                 "axiom (4): planted"])
+    res = _run("stability", "--type", "A3", "--check")
+    assert res.exit_code == 1
+    assert res.output == (table + "FAIL axiom (2): planted\n"
+                          "FAIL axiom (4): planted\n")
+
+
+def test_quiver_check_prints_one_fail_line_per_violation(monkeypatch):
+    monkeypatch.setattr(climod, "strong_exceptionality_check",
+                        lambda *args: ["backward Hom (2 -> 1) nonzero",
+                                       "Hom(1, T^1 2) nonzero"])
+    res = _run("quiver", "--type", "D4", "--check")
+    assert res.exit_code == 1
+    assert res.output == ("D4  h=6  orientation=principal\n"
+                          "arrows: 1->2 3->2 4->2\n"
+                          "positive roots: 12  (l*h/2 = 12)\n"
+                          "highest root: 1 2 1 1\n"
+                          "path algebra dimension: 7\n"
+                          "FAIL backward Hom (2 -> 1) nonzero\n"
+                          "FAIL Hom(1, T^1 2) nonzero\n")
+
+
 def test_export_and_catalog_round_trip(tmp_path):
     res = _run("export", "--type", "E6", "--k", "5", "--n", "1")
     assert res.exit_code == 0

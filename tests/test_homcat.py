@@ -44,6 +44,7 @@ from mfcat.mf import (
     _block_components,
     cone,
     direct_sum,
+    mat_is_zero,
     mat_mul,
     mat_zero,
     reduce,
@@ -64,6 +65,7 @@ from helpers import (
     disguised_sum,
     identity_morphism,
     permute_slots,
+    random_cone,
 )
 
 
@@ -443,7 +445,8 @@ def test_composition_is_bilinear_and_associative():
     right = compose(compose(h, g), f)
     assert left.phi0 == right.phi0 and left.phi1 == right.phi1
     zero = morphism_sub(f, f)
-    assert compose(g, zero).is_zero()
+    gz = compose(g, zero)
+    assert mat_is_zero(gz.phi0) and mat_is_zero(gz.phi1)
 
 
 def test_serre_duality_and_mirror_on_small_types():
@@ -587,6 +590,29 @@ def test_decompose_round_trips_random_sums():
             assert sorted(got) == sorted((k, n) for _, k, n in picks)
             assert all(oracles.is_indecomposable(cat.object(k, n))
                        for k, n in got)
+
+
+def _slots_conserved(cat, g, summands):
+    """Whether the slots of reduce(g) are, as a multiset, the union of the
+    slots of the catalog summands (k, n)."""
+    return Counter(reduce(g).S) == Counter(
+        s for k, n in summands for s in cat.object(k, n).S)
+
+
+@pytest.mark.parametrize("t, b", [("A4", 2), ("D5", None), ("E6", None)])
+def test_cones_of_random_morphisms_decompose_and_conserve_slots(t, b):
+    cat = get_catalog(t, b)
+    checked = 0
+    for seed in range(20):
+        g = random_cone(cat, seed)
+        summands = decompose(cat, g)
+        assert _slots_conserved(cat, g, summands)
+        if summands:
+            # control: one summand reported a twist off is caught
+            (k, n), rest = summands[0], summands[1:]
+            assert not _slots_conserved(cat, g, [(k, n + 1)] + rest)
+            checked += 1
+    assert checked
 
 
 def test_decompose_rejects_an_off_lattice_object():

@@ -459,6 +459,21 @@ def test_shape_errors_raise_polyerror():
             call()
 
 
+def test_boundary_of_rejects_bad_input_with_polyerror():
+    g = _objects()[0]
+    m = identity_morphism(g)
+    hA, hB = homcat.jacobi_homotopy(m, "x")
+    want = homcat.morphism_scale_poly(g.f.diff("x"), m)
+    assert homcat.morphism_eq(homcat.boundary_of(g, g, hA, hB), want)
+    ints = [[5] * g.r for _ in range(g.r)]
+    ragged = [hA[0]] + [hA[1] + hA[1][:1]] + list(hA[2:])
+    for args in (("x", g, hA, hB), (g, None, hA, hB), (g, g, None, hB),
+                 (g, g, hA, 5), (g, g, ints, hB), (g, g, hA, ints),
+                 (g, g, hA[:-1], hB), (g, g, ragged, hB)):
+        with pytest.raises(PolyError):
+            homcat.boundary_of(*args)
+
+
 def test_graded_mf_rejects_blocks_of_non_poly_entries():
     g = _objects()[0]
     ints = [[5] * g.r for _ in range(g.r)]

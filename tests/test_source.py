@@ -100,24 +100,30 @@ def test_the_float_scan_reports_float_math_names_only():
                                          ("f", "math.cos")]
 
 
-# Module-level definitions that nothing in the package calls, and why each
-# stays: public API whose caller lives outside src/mfcat.
+# Definitions that nothing in the package calls, and why each stays: public
+# API whose caller lives outside src/mfcat.
 PUBLIC_API = {
     "mf_from_json": "the README's JSON load, which re-verifies the contracts",
     "check_jacobi_annihilation": "acceptance criterion 10",
+    "HomSpace.coordinates": "the README's Hom-space coordinates; the Serre "
+                            "pairing section will call it",
+    "projectivity_check": "the README's stability API; the Gabriel section "
+                          "of verify will call it",
 }
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def _traced_names():
-    """The module-level names that perfbench/tracing.py wraps or counts."""
+    """The names that perfbench/tracing.py wraps or counts: each function,
+    each method as "Class.name", and each class that holds a method."""
     tables = {}
     for node in ast.parse(TRACING.read_text()).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             tables[getattr(node.targets[0], "id", None)] = node.value
     spans = ast.literal_eval(tables["SPANS"])
     counters = ast.literal_eval(tables["COUNTERS"])
-    return ({attr.split(".")[0] for _, _, attr in spans}
+    return ({attr for _, _, attr in spans}
+            | {attr.split(".")[0] for _, _, attr in spans}
             | {attr for _, attr, _ in counters})
 
 
@@ -127,35 +133,56 @@ def _is_click_command(node):
                for d in node.decorator_list)
 
 
+def _names(nodes):
+    """Every Name, Attribute and imported name below the given nodes."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(a.name for a in sub.names)
+    return names
+
+
 def _uncalled(sources, kept):
-    """Sorted (module, name) of each module-level function or class in
+    """Sorted (module, name) of each module-level function or class, and
+    of each method or property ("Class.name"; dunders aside), in
     ``sources`` ({module: source text}) that no Name, Attribute or import
-    outside its own body references, unless it is a click command, listed
-    in its module's __all__ or named in ``kept``."""
-    defined, refs, exported = [], {}, set()
+    outside its own body references, unless it is a click command or named
+    in ``kept``.  A class's body holds its methods; a method's body is its
+    own.  A reference is matched by name alone, the last part of a
+    method's, and being listed in ``__all__`` is not one."""
+    defined, refs = set(), {}
     for module, text in sources.items():
         for node in ast.parse(text).body:
-            scope = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                scope = node.name
-                if not _is_click_command(node):
-                    defined.append((module, node.name))
-            elif (isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets]
-                  == ["__all__"]):
-                exported |= {(module, name)
-                             for name in ast.literal_eval(node.value)}
-            names = refs.setdefault((module, scope), set())
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
-                elif isinstance(sub, ast.ImportFrom):
-                    names.update(a.name for a in sub.names)
-    return sorted(d for d in defined if d not in exported and d[1] not in kept
-                  and not any(d[1] in names for where, names in refs.items()
-                              if where != d))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                refs.setdefault((module, ""), set()).update(_names([node]))
+                continue
+            if not _is_click_command(node):
+                defined.add((module, node.name))
+            own = [node]
+            if isinstance(node, ast.ClassDef):
+                own = node.decorator_list + node.bases + node.keywords
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef):
+                        own.append(sub)
+                        continue
+                    name = "%s.%s" % (node.name, sub.name)
+                    if not (sub.name.startswith("__")
+                            and sub.name.endswith("__")):
+                        defined.add((module, name))
+                    refs.setdefault((module, name), set()).update(
+                        _names([sub]))
+            refs.setdefault((module, node.name), set()).update(_names(own))
+    return sorted(
+        d for d in defined if d[1] not in kept
+        and not any(d[1].split(".")[-1] in names
+                    for (module, where), names in refs.items()
+                    if (module, where) != d
+                    and not (module == d[0] and where.startswith(d[1] + "."))))
 
 
 def _src_sources():
@@ -167,11 +194,26 @@ def test_every_src_definition_has_a_caller():
 
 
 def test_the_caller_census_flags_uncalled_code_only():
-    # a scan that finds nothing proves nothing: a planted orphan that only
-    # calls itself is named, and so is each public entry once its reason is
-    # dropped, while monomial_basis, which only the tracer names, is not
+    # a scan that finds nothing proves nothing: a planted orphan function
+    # and a planted orphan method, each calling only itself, are named, and
+    # so is a planted function listed only in __all__ and each public entry
+    # once its reason is dropped, while monomial_basis, which only the
+    # tracer names, is not
     sources = _src_sources()
     sources["gring"] += "\n\ndef _orphan():\n    return _orphan()\n"
+    slots = '    __slots__ = ("src", "dst", "phi0", "phi1")\n'
+    assert slots in sources["mf"]
+    sources["mf"] = sources["mf"].replace(
+        slots, slots + "\n    def _stray(self):\n"
+                       "        return self._stray()\n", 1)
+    assert "__all__ = [\n" in sources["quiver"]
+    sources["quiver"] = sources["quiver"].replace(
+        "__all__ = [\n", '__all__ = [\n    "exported_only",\n', 1)
+    sources["quiver"] += "\n\ndef exported_only():\n    return None\n"
     found = _uncalled(sources, _traced_names())
-    assert found == sorted([("gring", "_orphan"), ("mf", "mf_from_json"),
-                            ("homcat", "check_jacobi_annihilation")])
+    assert found == sorted([("gring", "_orphan"), ("mf", "Morphism._stray"),
+                            ("quiver", "exported_only"),
+                            ("mf", "mf_from_json"),
+                            ("homcat", "check_jacobi_annihilation"),
+                            ("homcat", "HomSpace.coordinates"),
+                            ("stability", "projectivity_check")])

@@ -368,6 +368,36 @@ def test_strong_exceptionality_for_principal_and_random_orientations():
         assert strong_exceptionality_check(t, b, random_orientation(t, b, 3)) == []
 
 
+def _t_walk(cat, k, n, m):
+    """T^m M(k, n) by m steps of t_image, a step back found by search."""
+    for _ in range(m):
+        kT, nT = stability.t_image(cat, k)
+        k, n = kT, n + nT
+    for _ in range(-m):
+        k, n = next((kp, n - stability.t_image(cat, kp)[1])
+                    for kp in cat.diagram.vertices
+                    if stability.t_image(cat, kp)[0] == k)
+    return k, n
+
+
+@pytest.mark.parametrize("m", [-2, -1, 1, 2])
+def test_strong_exceptionality_reads_hom_into_the_right_t_power(
+        monkeypatch, m):
+    # a nonzero Hom planted into T^m of one object is reported, so the
+    # T-power the check builds from T^2 = tau^h is the m-step walk of T
+    cat = get_catalog("D4")
+    q = principal_orientation("D4")
+    _, ordered = exceptional_collection("D4", None, q)
+    (ki, ni), (kj, nj) = ordered[0], ordered[1]
+    km, nm = _t_walk(cat, kj, nj, m)
+    planted = (ki, km, cat.coord(km, nm) - cat.coord(ki, ni))
+    real = stability.class_hom_dim
+    monkeypatch.setattr(stability, "class_hom_dim",
+                        lambda c, *args: 1 if args == planted else real(c, *args))
+    assert strong_exceptionality_check("D4", None, q) == [
+        "Hom(%d, T^%d %d) nonzero" % (ki, m, kj)]
+
+
 def test_exceptional_collection_dimension_counts_paths():
     # the total algebra dimension over the collection equals the number of
     # directed paths in the chosen orientation (checked inside the strong
